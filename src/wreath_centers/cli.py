@@ -22,7 +22,7 @@ from .groups import group_from_json, group_from_table, resolve_group
 from .kernels import BACKEND
 from .partial import class_size_partial, enumerate_partial_class, semigroup_order
 from .shifted import verify_theorem71
-from .universal import k_coeff, structure_polynomial, verify_polynomiality
+from .universal import k_vector, structure_polynomial, verify_polynomiality
 from .wreath import PartitionFamily, class_order, families_of_size, families_up_to
 
 _FORMATS = ("json", "csv", "latex")
@@ -283,30 +283,38 @@ def cmd_ccoeff(G, cfg, args):
     return 0 if payload["mass"]["ok"] else 1
 
 
-def cmd_kcoeff(G, cfg, args):
+def _k_pair(G, cfg, args):
+    """--lam/--del of kcoeff and poly, refused before anything streams:
+    k_vector streams the smaller class at N = |lam|+|del|."""
     lam = _parse_family(args.lam, G, "lam")
     delta = _parse_family(args.delta, G, "del")
-    if lam.size + delta.size > cfg.max_total_size:
+    top = lam.size + delta.size
+    if top > cfg.max_total_size:
         raise err.CapExceeded(
-            f"|lam|+|del|={lam.size + delta.size} exceeds "
-            f"max_total_size={cfg.max_total_size}")
+            f"|lam|+|del|={top} exceeds max_total_size={cfg.max_total_size}")
+    streamed = min(class_size_partial(lam, top, G),
+                   class_size_partial(delta, top, G))
+    if streamed > cfg.cap_class_size:
+        raise err.CapExceeded(
+            f"streamed class has {streamed} elements, above the cap "
+            f"{cfg.cap_class_size}; raise --cap-class-size")
+    return lam, delta
+
+
+def cmd_kcoeff(G, cfg, args):
+    lam, delta = _k_pair(G, cfg, args)
+    gam = None if args.gam is None else _parse_family(args.gam, G, "gam")
+    kvec = k_vector(lam, delta, G)
     payload = {"group": args.group_label,
                "lam": lam.to_json(), "del": delta.to_json()}
-    if args.gam is not None:
-        gam = _parse_family(args.gam, G, "gam")
+    if gam is not None:
         payload["gamma"] = gam.to_json()
-        payload["k"] = k_coeff(lam, delta, gam, G)
+        payload["k"] = kvec.get(gam, 0)
     else:
-        lo = max(lam.size, delta.size)
-        hi = lam.size + delta.size
-        terms = []
-        for gam in families_up_to(hi, G.num_classes):
-            if gam.size < lo:
-                continue
-            k = k_coeff(lam, delta, gam, G)
-            if k:
-                terms.append({"gamma": gam.to_json(), "k": k})
-        payload["kvec"] = terms
+        payload["kvec"] = [
+            {"gamma": gam.to_json(), "k": kvec[gam]}
+            for gam in families_up_to(lam.size + delta.size, G.num_classes)
+            if gam in kvec]
     if cfg.format == "csv":
         rows = ([(payload["gamma"], payload["k"])] if args.gam is not None
                 else [(t["gamma"], t["k"]) for t in payload["kvec"]])
@@ -330,12 +338,7 @@ def cmd_kcoeff(G, cfg, args):
 
 
 def cmd_poly(G, cfg, args):
-    lam = _parse_family(args.lam, G, "lam")
-    delta = _parse_family(args.delta, G, "del")
-    if lam.size + delta.size > cfg.max_total_size:
-        raise err.CapExceeded(
-            f"|lam|+|del|={lam.size + delta.size} exceeds "
-            f"max_total_size={cfg.max_total_size}")
+    lam, delta = _k_pair(G, cfg, args)
     if args.gam is not None:
         gams = [_parse_family(args.gam, G, "gam")]
     else:

@@ -228,7 +228,7 @@ def enumerate_partial_class(lam, n, G, restrict_support=None):
             yield GPartialPermutation(sup, omega, labels)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def canonical_partial_representative(fam, G):
     """Deterministic element of C_{fam;|fam|} with support {1..|fam|}."""
     k = fam.size

@@ -260,7 +260,6 @@ def eta_value(gamma_idx, fam, chars):
 
 
 @lru_cache(maxsize=None)
-@lru_cache(maxsize=None)
 def p_sharp_eval(delta, lam):
     """p#_delta(lam) = (|lam| falling |delta|) / dim lam * chi^lam at
     delta padded with 1-parts; 0 when |lam| < |delta|.  Exact."""

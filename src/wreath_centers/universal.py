@@ -11,30 +11,33 @@ for proper families, where Gamma^j adds j extra 1-parts at the identity
 class.  structure_polynomial packages that right-hand side.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
+from types import MappingProxyType
 
 from .center import DEFAULT_CLASS_CAP, c_coeff
 from .errors import GuardrailExceeded, NotProper
 from .partial import (
     canonical_partial_representative,
+    class_size_partial,
     enumerate_partial_class,
     pp_multiply,
+    pp_type,
 )
 from .partitions import union as part_union
-from .wreath import PartitionFamily, iter_class
+from .wreath import PartitionFamily
 
 __all__ = [
     "gamma_j",
+    "k_vector",
     "k_coeff",
     "k_coeff_oracle",
     "expand_product_semigroup",
     "PolynomialInN",
     "structure_polynomial",
     "verify_polynomiality",
-    "properize",
 ]
 
 ORACLE_MAX_TOTAL_SIZE = 5
@@ -52,108 +55,39 @@ def gamma_j(gamma, j):
     return PartitionFamily(entries.items(), kind=gamma.kind)
 
 
-def properize(fam):
-    """Split off the 1-parts at the identity class: (proper part, count)."""
-    return fam.strip_ones()
+@lru_cache(maxsize=1024)
+def k_vector(lam, delta, G):
+    """Every nonzero k_{lam delta}^Gamma at once, as a read-only
+    {Gamma: k} mapping.
+
+    Inside P^G_N with N = |lam|+|delta| every product type fits, and
+    C_{lam;N} C_{delta;N} = sum_Gamma k^Gamma C_{Gamma;N}.  As in
+    center.product_classes, the factor with the larger class is fixed
+    at its canonical element, the other class is streamed once, and the
+    product types are histogrammed:
+    k^Gamma = |C_fixed;N| * h[Gamma] / |C_{Gamma;N}| (exact, asserted).
+    """
+    N = lam.size + delta.size
+    size_l = class_size_partial(lam, N, G)
+    size_d = class_size_partial(delta, N, G)
+    if size_d <= size_l:
+        x0, factor = canonical_partial_representative(lam, G), size_l
+        prods = (pp_multiply(x0, y, G) for y in enumerate_partial_class(delta, N, G))
+    else:
+        y0, factor = canonical_partial_representative(delta, G), size_d
+        prods = (pp_multiply(x, y0, G) for x in enumerate_partial_class(lam, N, G))
+    out = {}
+    for gam, cnt in Counter(pp_type(p, G) for p in prods).items():
+        total = factor * cnt
+        csize = class_size_partial(gam, N, G)
+        assert total % csize == 0, "class-constancy violated"
+        out[gam] = total // csize
+    return MappingProxyType(out)
 
 
-def _family_weight(fam, G):
-    # abelian G only: the product of all cycle products is an invariant
-    # of the type (classes are singletons), and it is multiplicative
-    # under the semigroup product
-    acc = 0
-    mul = G.mul
-    for c, parts in fam.entries:
-        g = G.classes[c][0]
-        for _ in parts:
-            acc = mul[acc][g]
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _x_stream(lam, s, G):
-    """All partial permutations of type lam with support inside {1..s},
-    precompiled to flat 0-based arrays (omega, omega^-1, labels, and a
-    support-membership mask) extended by fixed points off the support."""
-    out = []
-    for sup in combinations(range(s), lam.size):
-        for omega, labels in iter_class(lam, sup, G):
-            ox = list(range(s))
-            xlab = [0] * s
-            insupp = [False] * s
-            for i in sup:
-                ox[i] = omega[i]
-                xlab[i] = labels[i]
-                insupp[i] = True
-            oxinv = [0] * s
-            for i in range(s):
-                oxinv[ox[i]] = i
-            out.append((tuple(ox), tuple(oxinv), tuple(xlab), tuple(insupp)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def k_coeff(lam, delta, gamma, G):
     """Universal coefficient k_{lam delta}^gamma (n-independent)."""
-    s = gamma.size
-    if not (max(lam.size, delta.size) <= s <= lam.size + delta.size):
-        return 0
-    if G.is_abelian:
-        wl = _family_weight(lam, G)
-        wd = _family_weight(delta, G)
-        if G.mul[wl][wd] != _family_weight(gamma, G):
-            return 0
-    z = canonical_partial_representative(gamma, G)
-    zomega = [z.omega[i + 1] - 1 for i in range(s)]
-    zlab = [z.labels[i + 1] for i in range(s)]
-    zoinv = [0] * s
-    for i in range(s):
-        zoinv[zomega[i]] = i
-    mul, inv = G.mul, G.inv
-    cls_of = G.class_of
-    dsize = delta.size
-    dcounter = {}
-    for c, parts in delta.entries:
-        for p in parts:
-            dcounter[(c, p)] = dcounter.get((c, p), 0) + 1
-    rng = range(s)
-    total = 0
-    for ox, oxinv, xlab, insupp in _x_stream(lam, s, G):
-        # solve y = x~^{-1} z~ inside the symmetric algebra of the
-        # support of z: omega_y = omega_z o omega_x^{-1} read left to
-        # right, label_i = xlab(omega_x(omega_z^{-1}(i)))^{-1} * zlab(i)
-        oy = [zomega[oxinv[i]] for i in rng]
-        ylab = [mul[inv[xlab[ox[zoinv[i]]]]][zlab[i]] for i in rng]
-        # mandatory support: points where y acts, plus the points of z
-        # not covered by x (the factor y must supply those)
-        mand = [oy[i] != i or ylab[i] != 0 or not insupp[i] for i in rng]
-        mlen = sum(mand)
-        e = dsize - mlen
-        if e < 0:
-            continue
-        # type of y restricted to the mandatory set, plus e trivial
-        # 1-parts, must be exactly delta
-        tm = {}
-        seen = [False] * s
-        for start in rng:
-            if not mand[start] or seen[start]:
-                continue
-            seen[start] = True
-            acc = ylab[start]
-            length = 1
-            j = oy[start]
-            while j != start:
-                seen[j] = True
-                acc = mul[acc][ylab[j]]
-                length += 1
-                j = oy[j]
-            key = (cls_of[acc], length)
-            tm[key] = tm.get(key, 0) + 1
-        if e:
-            tm[(0, 1)] = tm.get((0, 1), 0) + e
-        if tm == dcounter:
-            total += comb(s - mlen, e)
-    return total
+    return k_vector(lam, delta, G).get(gamma, 0)
 
 
 def expand_product_semigroup(lam, delta, n, G):

@@ -39,7 +39,6 @@ from wreath_centers.universal import (
     expand_product_semigroup,
     k_coeff,
     k_coeff_oracle,
-    properize,
     structure_polynomial,
 )
 from wreath_centers.wreath import (
@@ -266,7 +265,7 @@ def test_criterion_04_polynomiality_sweep():
                     vec = product_classes(lam.pad(n), delta.pad(n), n, G)
                     direct = {}
                     for fam, cf in vec.items():
-                        prop, _ = properize(fam)
+                        prop, _ = fam.strip_ones()
                         direct[prop] = cf
                     stray = set(direct) - set(cands)
                     if stray:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from wreath_centers.cli import main
+
 CMD = [sys.executable, "-m", "wreath_centers"]
 
 
@@ -158,6 +160,29 @@ def test_exit_cap_exceeded():
     r = run("--group", "cyclic:2", "--cap-class-size", "10",
             "ccoeff", "--n", "8", "--lam", '{"1": [8]}', "--del", '{"1": [8]}')
     assert r.returncode == 5
+
+
+def test_k_path_cap_checked_before_streaming():
+    # kcoeff and poly stream C_{(6)^1;12} over Z_3: 26,943,840 elements,
+    # above the default cap, so both refuse before streaming
+    for cmd in ("kcoeff", "poly"):
+        r = run("--group", "cyclic:3", cmd,
+                "--lam", '{"1": [6]}', "--del", '{"1": [6]}')
+        assert r.returncode == 5, (cmd, r.stderr)
+        assert "26943840" in r.stderr
+
+
+@pytest.mark.parametrize("spec, n", [("sym:3", "4"), ("dihedral:4", "3")])
+def test_verify_poly_non_abelian(capsys, spec, n):
+    """Polynomials from k against product_classes on non-abelian G, where
+    the brute-force oracle refuses (|G| > 3).  On sym:3, n_max =
+    2 * size_cap reaches every k of every pair; dihedral:4 stops at
+    n = 3 to stay fast."""
+    rc = main(["--group", spec, "verify-poly", "--n", n, "--size-cap", "2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["mismatches"] == []
+    assert payload["checked"] > 0
 
 
 def test_group_file_and_malformed(tmp_path):

@@ -6,15 +6,16 @@ import pytest
 
 from wreath_centers.errors import GuardrailExceeded, NotProper
 from wreath_centers.universal import (
-    PolynomialInN, gamma_j, k_coeff, k_coeff_oracle, properize,
+    PolynomialInN, gamma_j, k_coeff, k_coeff_oracle, k_vector,
     structure_polynomial, verify_polynomiality,
 )
 from wreath_centers.wreath import PartitionFamily, families_up_to
 
 
 def test_k_matches_oracle_small(z2, z3, triv):
-    """k_coeff's truncated solver vs the full semigroup expansion, every
-    (lam, delta, gamma) window triple with |lam| + |delta| <= 3."""
+    """k_coeff's one-pass class-sum product vs the full semigroup
+    expansion, every (lam, delta, gamma) window triple with
+    |lam| + |delta| <= 3."""
     for G in (triv, z2, z3):
         k = G.num_classes
         fams = [f for f in families_up_to(3, k)]
@@ -30,6 +31,17 @@ def test_k_matches_oracle_small(z2, z3, triv):
                     assert k_coeff(lam, delta, gamma, G) \
                         == k_coeff_oracle(lam, delta, gamma, G), \
                         (G.order, lam, delta, gamma)
+
+
+def test_k_vector_is_read_only(z3):
+    one = PartitionFamily({1: (1,)})
+    kvec = k_vector(one, one, z3)
+    assert dict(kvec) == {PartitionFamily({2: (1,)}): 1,
+                          PartitionFamily({1: (1, 1)}): 2}
+    with pytest.raises(TypeError):
+        kvec[PartitionFamily({2: (1,)})] = 5
+    assert k_vector(one, one, z3) is kvec
+    assert k_coeff(one, one, PartitionFamily({2: (1,)}), z3) == 1
 
 
 def test_oracle_stability_in_n(z2):
@@ -94,7 +106,7 @@ def test_gamma_j():
     assert gamma_j(g, 2) == PartitionFamily({0: (1, 1), 1: (2,)})
     with pytest.raises(ValueError):
         gamma_j(g, -1)
-    assert properize(gamma_j(g, 2)) == (g, 2)
+    assert gamma_j(g, 2).strip_ones() == (g, 2)
 
 
 def test_structure_polynomial_shape(triv):
