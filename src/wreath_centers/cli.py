@@ -22,7 +22,8 @@ from .groups import group_from_json, group_from_table, resolve_group
 from .kernels import BACKEND
 from .partial import class_size_partial, enumerate_partial_class, semigroup_order
 from .shifted import verify_theorem71
-from .universal import k_vector, structure_polynomial, verify_polynomiality
+from .universal import (
+    k_vector, structure_polynomial, structure_polynomials, verify_polynomiality)
 from .wreath import PartitionFamily, class_order, families_of_size, families_up_to
 
 _FORMATS = ("json", "csv", "latex")
@@ -161,14 +162,7 @@ def _fam_latex(fam):
 
 def cmd_group_info(G, cfg, args):
     chars = G.character_table()
-    resid = 0.0
     k = len(chars.rows)
-    for i in range(k):
-        for j in range(k):
-            ip = sum(len(G.classes[c]) * chars.rows[i][c]
-                     * chars.rows[j][c].conjugate()
-                     for c in range(k)) / G.order
-            resid = max(resid, abs(ip - (1 if i == j else 0)))
     payload = {
         "group": args.group_label,
         "order": G.order,
@@ -180,7 +174,7 @@ def cmd_group_info(G, cfg, args):
         "characters": {
             "degrees": list(chars.degrees),
             "rows": [[v for v in row] for row in chars.rows],
-            "orthogonality_residual": resid,
+            "orthogonality_residual": chars.residual,
         },
         "backend": BACKEND,
     }
@@ -311,10 +305,8 @@ def cmd_kcoeff(G, cfg, args):
         payload["gamma"] = gam.to_json()
         payload["k"] = kvec.get(gam, 0)
     else:
-        payload["kvec"] = [
-            {"gamma": gam.to_json(), "k": kvec[gam]}
-            for gam in families_up_to(lam.size + delta.size, G.num_classes)
-            if gam in kvec]
+        payload["kvec"] = [{"gamma": g.to_json(), "k": k}
+                           for g, k in kvec.items()]
     if cfg.format == "csv":
         rows = ([(payload["gamma"], payload["k"])] if args.gam is not None
                 else [(t["gamma"], t["k"]) for t in payload["kvec"]])
@@ -340,17 +332,10 @@ def cmd_kcoeff(G, cfg, args):
 def cmd_poly(G, cfg, args):
     lam, delta = _k_pair(G, cfg, args)
     if args.gam is not None:
-        gams = [_parse_family(args.gam, G, "gam")]
+        polys = [structure_polynomial(
+            lam, delta, _parse_family(args.gam, G, "gam"), G)]
     else:
-        # every proper target that can appear; the lower filtration
-        # bound applies before padding, so small bases stay in
-        gams = [g for g in families_up_to(lam.size + delta.size,
-                                          G.num_classes) if g.is_proper()]
-    polys = []
-    for gam in gams:
-        poly = structure_polynomial(lam, delta, gam, G)
-        if poly.binom_coeffs or args.gam is not None:
-            polys.append(poly)
+        polys = list(structure_polynomials(lam, delta, G).values())
     payload = {"group": args.group_label,
                "lam": lam.to_json(), "del": delta.to_json(),
                "polynomials": [p.to_json() for p in polys]}
@@ -377,17 +362,19 @@ def _verify_pair(job):
     G = group_from_table(mul)
     lam = PartitionFamily.from_json(lam_json)
     delta = PartitionFamily.from_json(del_json)
+    # every proper target, zeros included, so a polynomial missing
+    # from structure_polynomials shows up as a mismatch
     gams = [g for g in families_up_to(lam.size + delta.size, G.num_classes)
             if g.is_proper()]
-    polys = {g: structure_polynomial(lam, delta, g, G) for g in gams}
+    polys = structure_polynomials(lam, delta, G)
     checked = 0
     bad = []
     for n in range(max(lam.size, delta.size), n_max + 1):
         vec = product_classes(lam.pad(n), delta.pad(n), n, G, cap=cap)
-        for g, poly in polys.items():
+        for g in gams:
             if g.size > n:
                 continue
-            predicted = poly.evaluate(n)
+            predicted = polys[g].evaluate(n) if g in polys else 0
             direct = vec.coeff(g.pad(n))
             checked += 1
             if predicted != direct:
@@ -409,13 +396,12 @@ def cmd_verify_poly(G, cfg, args):
         lam = _parse_family(args.lam, G, "lam")
         delta = _parse_family(args.delta, G, "del")
         gam = _parse_family(args.gam, G, "gam")
-        poly = structure_polynomial(lam, delta, gam, G)
         lo = max(lam.size, delta.size, gam.size)
         report = verify_polynomiality(lam, delta, gam, G,
                                       range(lo, max(lo, n_max) + 1),
                                       cap=cfg.cap_class_size)
         payload = {"group": args.group_label, "mode": "single",
-                   "polynomial": poly.to_json(),
+                   "polynomial": report["polynomial"],
                    "rows": report["rows"], "pass": report["all_match"]}
         ok = report["all_match"]
     else:

@@ -49,10 +49,6 @@ class NotProper(WreathCentersError):
     """Family has parts equal to 1 at the identity class where forbidden."""
 
 
-class BasisMismatch(WreathCentersError):
-    """Operation received vectors expressed in incompatible bases."""
-
-
 class CapExceeded(WreathCentersError):
     """A streamed class or enumeration exceeds the configured cap."""
 

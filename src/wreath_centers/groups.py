@@ -115,7 +115,7 @@ class CharacterTable:
     row index a stable label for the irreducible characters.
     """
 
-    __slots__ = ("group", "rows", "degrees")
+    __slots__ = ("group", "rows", "degrees", "residual")
 
     def __init__(self, group: FiniteGroup, rows, tol: float = _ORTHO_TOL):
         k = group.num_classes
@@ -136,15 +136,19 @@ class CharacterTable:
         self._check_orthogonality(tol)
 
     def _check_orthogonality(self, tol):
+        # residual: the largest deviation from row orthonormality
         g = self.group
         sizes = [len(c) for c in g.classes]
+        self.residual = 0.0
         for i, ri in enumerate(self.rows):
             for j, rj in enumerate(self.rows):
                 val = sum(sizes[c] * ri[c] * rj[c].conjugate()
                           for c in range(g.num_classes)) / g.order
-                if abs(val - (1 if i == j else 0)) > tol:
+                dev = abs(val - (1 if i == j else 0))
+                if dev > tol:
                     raise DiagonalizationFailed(
                         f"row orthogonality fails at ({i},{j}): {val}")
+                self.residual = max(self.residual, dev)
 
     def __len__(self):
         return len(self.rows)

@@ -14,17 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
 
-from .errors import BasisMismatch, SizeMismatch
+from .errors import SizeMismatch
 from .partitions import dim_partition, mn_character, skew_count
 from .partitions import union as part_union
-from .universal import k_coeff
+from .universal import k_vector
 from .wreath import PartitionFamily, class_order, families_up_to
 
 __all__ = [
-    "MultiAlphabetPowerSum",
-    "hall_inner",
-    "to_character_alphabets",
-    "from_character_alphabets",
     "CharacterCalculator",
     "character_value",
     "eta_value",
@@ -35,43 +31,6 @@ __all__ = [
     "image_eval",
     "verify_theorem71",
 ]
-
-
-class MultiAlphabetPowerSum:
-    """Finite combination of power-sum products, tagged by which
-    alphabet family indexes it ("class" or "char")."""
-
-    __slots__ = ("basis", "terms")
-
-    def __init__(self, basis, terms):
-        if basis not in ("class", "char"):
-            raise ValueError("basis must be 'class' or 'char'")
-        self.basis = basis
-        self.terms = {f: c for f, c in terms.items() if c}
-        for f in self.terms:
-            if f.kind != basis:
-                raise BasisMismatch("family %r does not match basis %s" % (f, basis))
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiAlphabetPowerSum):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
-    def __repr__(self):
-        return "MultiAlphabetPowerSum(%s, %d terms)" % (self.basis, len(self.terms))
-
-
-def hall_inner(f, g, G):
-    """<f, g> = sum_Lambda f_Lambda conj(g_Lambda) Z_Lambda, both in
-    the class-alphabet basis."""
-    if f.basis != "class" or g.basis != "class":
-        raise BasisMismatch("hall_inner needs class-alphabet operands")
-    total = 0
-    for fam, cf in f.terms.items():
-        cg = g.terms.get(fam)
-        if cg is not None:
-            total += cf * complex(cg).conjugate() * class_order(fam, G)[0]
-    return complex(total)
 
 
 def _compositions(m, k):
@@ -129,11 +88,6 @@ def _expand(fam, nidx, weight):
     return states
 
 
-def _drop_noise(terms, eps=1e-12):
-    # cancellation across alphabets leaves float dust; strip it
-    return {f: c for f, c in terms.items() if abs(c) > eps}
-
-
 def _states_to_terms(states, kind):
     out = {}
     for state, c in states.items():
@@ -143,36 +97,6 @@ def _states_to_terms(states, kind):
             ((d, parts) for d, parts in enumerate(state) if parts), kind=kind)
         out[fam] = out.get(fam, 0) + c
     return out
-
-
-def to_character_alphabets(f, G, chars):
-    """P_r(c) = sum_gamma conj(gamma(c)) P_r(gamma), extended
-    multiplicatively to products and linearly to combinations."""
-    if f.basis != "class":
-        raise BasisMismatch("expected class-alphabet input")
-    rows = chars.rows
-    k = len(rows)
-    out = {}
-    for fam, coeff in f.terms.items():
-        states = _expand(fam, k, lambda c, g: rows[g][c].conjugate())
-        for gfam, c in _states_to_terms(states, "char").items():
-            out[gfam] = out.get(gfam, 0) + coeff * c
-    return MultiAlphabetPowerSum("char", _drop_noise(out))
-
-
-def from_character_alphabets(f, G, chars):
-    """P_r(gamma) = sum_c xi_c^{-1} gamma(c) P_r(c)."""
-    if f.basis != "char":
-        raise BasisMismatch("expected char-alphabet input")
-    rows = chars.rows
-    ncls = G.num_classes
-    xi = G.xi
-    out = {}
-    for fam, coeff in f.terms.items():
-        states = _expand(fam, ncls, lambda g, c: rows[g][c] / xi[c])
-        for cfam, c in _states_to_terms(states, "class").items():
-            out[cfam] = out.get(cfam, 0) + coeff * c
-    return MultiAlphabetPowerSum("class", _drop_noise(out))
 
 
 class CharacterCalculator:
@@ -393,12 +317,7 @@ def verify_theorem71(G, chars=None, size_cap=2, samples=None,
     if samples is not None:
         pairs = pairs[:samples]
     for d1, d2 in pairs:
-        window = [
-            g for g in families_up_to(d1.size + d2.size, ncls)
-            if max(d1.size, d2.size) <= g.size
-        ]
-        kvec = [(g, k_coeff(d1, d2, g, G)) for g in window]
-        kvec = [(g, k) for g, k in kvec if k]
+        kvec = k_vector(d1, d2, G).items()
         pts = [f for f in families_up_to(
             min(d1.size + d2.size + 1, point_size), nchars,
             kind="char")][:point_cap]

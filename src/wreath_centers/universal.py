@@ -8,7 +8,8 @@ and the finite-n structure coefficients are recovered from them as
     c_{Lambda Delta}^Gamma(n) = sum_j k_{Lambda Delta}^{Gamma^j} binom(n - |Gamma|, j)
 
 for proper families, where Gamma^j adds j extra 1-parts at the identity
-class.  structure_polynomial packages that right-hand side.
+class.  structure_polynomials reads that right-hand side off the keys
+of k_vector.
 """
 
 from collections import Counter
@@ -26,17 +27,16 @@ from .partial import (
     pp_multiply,
     pp_type,
 )
-from .partitions import union as part_union
-from .wreath import PartitionFamily
+from .wreath import family_order
 
 __all__ = [
-    "gamma_j",
     "k_vector",
     "k_coeff",
     "k_coeff_oracle",
     "expand_product_semigroup",
     "PolynomialInN",
     "structure_polynomial",
+    "structure_polynomials",
     "verify_polynomiality",
 ]
 
@@ -44,21 +44,10 @@ ORACLE_MAX_TOTAL_SIZE = 5
 ORACLE_MAX_GROUP_ORDER = 3
 
 
-def gamma_j(gamma, j):
-    """Gamma^j: the family with j extra 1-parts at the identity class."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if j == 0:
-        return gamma
-    entries = dict(gamma.entries)
-    entries[0] = part_union(entries.get(0, ()), (1,) * j)
-    return PartitionFamily(entries.items(), kind=gamma.kind)
-
-
 @lru_cache(maxsize=1024)
 def k_vector(lam, delta, G):
     """Every nonzero k_{lam delta}^Gamma at once, as a read-only
-    {Gamma: k} mapping.
+    {Gamma: k} mapping in families_up_to order.
 
     Inside P^G_N with N = |lam|+|delta| every product type fits, and
     C_{lam;N} C_{delta;N} = sum_Gamma k^Gamma C_{Gamma;N}.  As in
@@ -76,9 +65,10 @@ def k_vector(lam, delta, G):
     else:
         y0, factor = canonical_partial_representative(delta, G), size_d
         prods = (pp_multiply(x, y0, G) for x in enumerate_partial_class(lam, N, G))
+    hist = Counter(pp_type(p, G) for p in prods)
     out = {}
-    for gam, cnt in Counter(pp_type(p, G) for p in prods).items():
-        total = factor * cnt
+    for gam in sorted(hist, key=family_order(G.num_classes)):
+        total = factor * hist[gam]
         csize = class_size_partial(gam, N, G)
         assert total % csize == 0, "class-constancy violated"
         out[gam] = total // csize
@@ -193,18 +183,38 @@ class PolynomialInN:
         return "PolynomialInN(%s)" % self.latex()
 
 
-def structure_polynomial(lam, delta, gamma, G):
-    """Theorem-form polynomial for c_{lam delta}^gamma(n); all three
-    families must be proper (no 1-parts at the identity class)."""
-    for name, fam in (("lam", lam), ("delta", delta), ("gamma", gamma)):
+def _require_proper(**fams):
+    for name, fam in fams.items():
         if not fam.is_proper():
             raise NotProper("%s=%r has 1-parts at the identity class" % (name, fam))
-    jmax = lam.size + delta.size - gamma.size
+
+
+def structure_polynomials(lam, delta, G):
+    """{gamma: polynomial for c_{lam delta}^gamma(n)} for every proper
+    gamma with a nonzero polynomial, in families_up_to order.  Each key
+    Gamma of the k-vector is gamma^j for gamma = Gamma with its
+    identity 1-parts stripped, and contributes k^Gamma binom(n-|gamma|, j).
+    lam and delta must be proper (no 1-parts at the identity class)."""
+    _require_proper(lam=lam, delta=delta)
     coeffs = {}
-    for j in range(max(jmax, -1) + 1):
-        coeffs[j] = k_coeff(lam, delta, gamma_j(gamma, j), G)
-    min_n = max(lam.size, delta.size, gamma.size)
-    return PolynomialInN(gamma, gamma.size, coeffs, min_n)
+    for gam, k in k_vector(lam, delta, G).items():
+        base, j = gam.strip_ones()
+        coeffs.setdefault(base, {})[j] = k
+    low = max(lam.size, delta.size)
+    return {base: PolynomialInN(base, base.size, coeffs[base],
+                                max(low, base.size))
+            for base in sorted(coeffs, key=family_order(G.num_classes))}
+
+
+def structure_polynomial(lam, delta, gamma, G):
+    """Theorem-form polynomial for c_{lam delta}^gamma(n), zero when
+    gamma never appears; all three families must be proper."""
+    _require_proper(lam=lam, delta=delta, gamma=gamma)
+    poly = structure_polynomials(lam, delta, G).get(gamma)
+    if poly is None:
+        poly = PolynomialInN(gamma, gamma.size, {},
+                             max(lam.size, delta.size, gamma.size))
+    return poly
 
 
 def verify_polynomiality(lam, delta, gamma, G, n_range, cap=DEFAULT_CLASS_CAP):

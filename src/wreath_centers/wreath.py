@@ -23,6 +23,7 @@ from .partitions import as_partition, partitions_of, union, z_of
 
 __all__ = [
     "PartitionFamily", "WreathElement", "families_of_size", "families_up_to",
+    "family_order",
     "w_multiply", "w_inverse", "cycle_product", "type_of", "class_order",
     "enumerate_class", "canonical_representative", "iter_class",
 ]
@@ -148,6 +149,16 @@ def families_of_size(n: int, num_indices: int, kind: str = "class"):
 def families_up_to(n: int, num_indices: int, kind: str = "class"):
     for size in range(n + 1):
         yield from families_of_size(size, num_indices, kind)
+
+
+def family_order(num_indices: int):
+    """Sort key that puts families in the order families_up_to yields
+    them: by size, then index by index, larger partitions first and
+    partitions of equal size in descending lexicographic order."""
+    def key(fam):
+        return (fam.size, tuple((-sum(lam), tuple(-p for p in lam))
+                                for lam in map(fam.get, range(num_indices))))
+    return key
 
 
 class WreathElement:

@@ -1,12 +1,18 @@
 """Command line interface, exercised through subprocesses."""
 import json
 import os
+import shlex
 import subprocess
 import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
+from wreath_centers.center import product_classes
 from wreath_centers.cli import main
+from wreath_centers.groups import builtin_group
+from wreath_centers.wreath import PartitionFamily, families_up_to
 
 CMD = [sys.executable, "-m", "wreath_centers"]
 
@@ -82,6 +88,31 @@ def test_kcoeff_value_and_window():
     # the two points either collide (labels multiply to the identity)
     # or sit apart; no 2-cycle can appear from identity permutations
     assert got == {'{"0": [1]}': 1, '{"1": [1, 1]}': 2}
+
+
+def test_poly_sym3_lists_nonzero_in_family_order(capsys):
+    """Without --gam, poly lists exactly the nonzero polynomials, in
+    families_up_to order, and each matches product_classes at
+    n = |lam|+|del|-1 and n = |lam|+|del| on a non-abelian G."""
+    G = builtin_group("sym:3")
+    lam = PartitionFamily({2: (2,)})
+    delta = PartitionFamily({1: (1,), 2: (1,)})
+    rc = main(["--group", "sym:3", "poly",
+               "--lam", '{"2": [2]}', "--del", '{"1": [1], "2": [1]}'])
+    polys = json.loads(capsys.readouterr().out)["polynomials"]
+    assert rc == 0
+    gammas = [PartitionFamily.from_json(p["gamma"]) for p in polys]
+    assert gammas == [g for g in families_up_to(4, G.num_classes)
+                      if g in gammas]
+    assert all(p["binomial"] for p in polys)
+    for n in (3, 4):
+        vec = product_classes(lam.pad(n), delta.pad(n), n, G)
+        assert {g.strip_ones()[0] for g in vec.terms} <= set(gammas)
+        for g, p in zip(gammas, polys):
+            if g.size <= n:
+                predicted = sum(k * comb(n - g.size, int(j))
+                                for j, k in p["binomial"].items())
+                assert predicted == vec.coeff(g.pad(n)), (g, n)
 
 
 def test_poly_latex_format():
@@ -225,3 +256,20 @@ def test_verify_iso_output_shape():
     assert isinstance(rows, list)
     assert all(row["pass"] for row in rows)
     assert "checks passed" in r.stderr
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line", 1)[1].split("\n## ", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith("wreath-centers ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_example_runs(capsys, line):
+    """Every command of the README's command-line block exits 0.  Its
+    verify-iso example uses an abelian group: the image route still
+    fails checks on non-abelian G."""
+    rc = main(shlex.split(line, comments=True)[1:])
+    capsys.readouterr()
+    assert rc == 0, line

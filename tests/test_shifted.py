@@ -6,14 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from wreath_centers.errors import BasisMismatch, SizeMismatch
+from wreath_centers.errors import SizeMismatch
 from wreath_centers.groups import FiniteGroup, builtin_group
 from wreath_centers.partitions import mn_character, partitions_of
 from wreath_centers.shifted import (
-    CharacterCalculator, MultiAlphabetPowerSum, eta_value, f_image_eval,
-    from_character_alphabets, get_calculator, hall_inner, image_eval,
-    p_sharp_eval, p_sharp_family_eval, s_sharp_eval, to_character_alphabets,
-    verify_theorem71,
+    CharacterCalculator, eta_value, f_image_eval, get_calculator, image_eval,
+    p_sharp_eval, p_sharp_family_eval, s_sharp_eval, verify_theorem71,
 )
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, class_order, families_of_size,
@@ -29,27 +27,6 @@ def wreath_group(G, n):
     idx = {w: i for i, w in enumerate(elems)}
     mul = [[idx[w_multiply(a, b, G)] for b in elems] for a in elems]
     return FiniteGroup(mul), elems
-
-
-def test_basis_round_trip(z2, s3):
-    for G in (z2, s3):
-        chars = G.character_table()
-        for fam in families_up_to(3, G.num_classes):
-            f = MultiAlphabetPowerSum("class", {fam: 1.0})
-            back = from_character_alphabets(
-                to_character_alphabets(f, G, chars), G, chars)
-            assert fam in back.terms
-            for g2, c in back.terms.items():
-                assert abs(c - (1.0 if g2 == fam else 0.0)) < 1e-9
-
-
-def test_basis_mismatch(z2):
-    f = MultiAlphabetPowerSum("class", {PartitionFamily(): 1.0})
-    g = MultiAlphabetPowerSum("char", {PartitionFamily(kind="char"): 1.0})
-    with pytest.raises(BasisMismatch):
-        hall_inner(f, g, z2)
-    with pytest.raises(BasisMismatch):
-        to_character_alphabets(g, z2, z2.character_table())
 
 
 @pytest.mark.parametrize("gname,n", [
@@ -111,16 +88,19 @@ def test_dim_square_sum(z3, s3):
 
 
 def test_s_orthonormality(z3):
+    """S_lam = sum_sig X^lam_sig / Z_sig P_sig is orthonormal for the
+    Hall inner product <P_sig, P_tau> = Z_sig [sig == tau]."""
     calc = CharacterCalculator(z3)
     for n in (2, 3):
         fams = list(families_of_size(n, 3))
+        zs = [class_order(sig, z3)[0] for sig in fams]
         chfams = list(families_of_size(n, 3, kind="char"))
-        svecs = {lam: MultiAlphabetPowerSum("class", {
-            sig: calc.x_value(lam, sig) / class_order(sig, z3)[0]
-            for sig in fams}) for lam in chfams}
+        svecs = {lam: [calc.x_value(lam, sig) / z for sig, z in zip(fams, zs)]
+                 for lam in chfams}
         for l1 in chfams:
             for l2 in chfams:
-                ip = hall_inner(svecs[l1], svecs[l2], z3)
+                ip = sum(a * b.conjugate() * z
+                         for a, b, z in zip(svecs[l1], svecs[l2], zs))
                 assert abs(ip - (1.0 if l1 == l2 else 0.0)) < 1e-8
 
 

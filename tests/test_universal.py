@@ -6,8 +6,8 @@ import pytest
 
 from wreath_centers.errors import GuardrailExceeded, NotProper
 from wreath_centers.universal import (
-    PolynomialInN, gamma_j, k_coeff, k_coeff_oracle, k_vector,
-    structure_polynomial, verify_polynomiality,
+    PolynomialInN, k_coeff, k_coeff_oracle, k_vector,
+    structure_polynomial, structure_polynomials, verify_polynomiality,
 )
 from wreath_centers.wreath import PartitionFamily, families_up_to
 
@@ -100,15 +100,6 @@ def test_k_symmetric_for_commuting_semigroup(z3):
                     == k_coeff(delta, lam, gamma, z3)
 
 
-def test_gamma_j():
-    g = PartitionFamily({1: (2,)})
-    assert gamma_j(g, 0) is g
-    assert gamma_j(g, 2) == PartitionFamily({0: (1, 1), 1: (2,)})
-    with pytest.raises(ValueError):
-        gamma_j(g, -1)
-    assert gamma_j(g, 2).strip_ones() == (g, 2)
-
-
 def test_structure_polynomial_shape(triv):
     # C_(1) * C_(1) at the identity target: coefficient is n itself
     lam = PartitionFamily({0: (2,)})
@@ -119,8 +110,8 @@ def test_structure_polynomial_shape(triv):
     assert poly.evaluate(4) == comb(4, 2)
     # binom form: the j-th coefficient sits on binom(n - |gamma|, j)
     assert poly.binom_coeffs == {
-        j: k_coeff(lam, lam, gamma_j(ident, j), triv)
-        for j in range(5) if k_coeff(lam, lam, gamma_j(ident, j), triv)
+        j: k_coeff(lam, lam, ident.pad(j), triv)
+        for j in range(5) if k_coeff(lam, lam, ident.pad(j), triv)
     }
     assert poly.latex().count("binom") == len(poly.binom_coeffs) - (0 in poly.binom_coeffs)
 
@@ -159,6 +150,28 @@ def test_not_proper_rejected(z2):
         structure_polynomial(bad, good, good, z2)
     with pytest.raises(NotProper):
         structure_polynomial(good, good, bad, z2)
+    with pytest.raises(NotProper):
+        structure_polynomials(good, bad, z2)
+
+
+def test_structure_polynomials_read_the_k_vector(z2):
+    """One polynomial per stripped k-vector key, and structure_polynomial
+    is a lookup into them that gives zero for an absent target."""
+    lam = PartitionFamily({1: (2,)})
+    delta = PartitionFamily({1: (1, 1)})
+    kvec = k_vector(lam, delta, z2)
+    assert list(kvec) == [g for g in families_up_to(4, 2) if g in kvec]
+    polys = structure_polynomials(lam, delta, z2)
+    assert list(polys) == [g for g in families_up_to(4, 2) if g in polys]
+    assert set(polys) == {g.strip_ones()[0] for g in kvec}
+    for gamma, poly in polys.items():
+        assert poly.binom_coeffs
+        assert structure_polynomial(lam, delta, gamma, z2).to_json() \
+            == poly.to_json()
+    absent = PartitionFamily({1: (4,)})
+    assert absent not in polys
+    zero = structure_polynomial(lam, delta, absent, z2)
+    assert zero.binom_coeffs == {} and zero.min_n == 4
 
 
 def test_evaluate_below_min_n(z2):

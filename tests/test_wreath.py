@@ -9,7 +9,7 @@ from wreath_centers.errors import NotACycle, PadTooSmall, SizeMismatch
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, canonical_representative, class_order,
     cycle_product, enumerate_class, families_of_size, families_up_to,
-    type_of, w_inverse, w_multiply,
+    family_order, type_of, w_inverse, w_multiply,
 )
 
 
@@ -213,6 +213,14 @@ def test_families_of_size_counts():
     assert all(f.size <= 2 for f in fams)
     # no duplicates across the sweep
     assert len(set(fams)) == len(fams)
+
+
+@pytest.mark.parametrize("num_indices,n", [(1, 8), (2, 6), (3, 5), (4, 4), (5, 4)])
+def test_family_order_matches_families_up_to(num_indices, n):
+    fams = list(families_up_to(n, num_indices))
+    shuffled = fams[:]
+    random.Random(num_indices).shuffle(shuffled)
+    assert sorted(shuffled, key=family_order(num_indices)) == fams
 
 
 def test_canonical_representative(z3):
