@@ -14,8 +14,8 @@ from .partial import (
     GPartialPermutation, act, class_size_partial, enumerate_partial_class,
     pp_multiply, pp_type, pp_unity, proj, psi, semigroup_order)
 from .shifted import (
-    CharacterCalculator, character_value, eta_value, image_eval,
-    p_sharp_eval, s_sharp_eval, verify_theorem71)
+    CharacterCalculator, image_eval, p_sharp_eval, s_sharp_eval,
+    verify_theorem71)
 from .universal import (
     PolynomialInN, k_coeff, k_coeff_oracle, structure_polynomial,
     verify_polynomiality)
@@ -29,9 +29,9 @@ __all__ = [
     "AlgebraVector", "BACKEND", "CharacterCalculator", "FiniteGroup",
     "GPartialPermutation", "PartitionFamily", "PolynomialInN",
     "WreathElement", "__version__", "act", "available_backends",
-    "builtin_group", "c_coeff", "character_value", "class_order",
+    "builtin_group", "c_coeff", "class_order",
     "class_size_partial", "enumerate_class", "enumerate_partial_class",
-    "eta_value", "families_of_size", "families_up_to", "group_from_json",
+    "families_of_size", "families_up_to", "group_from_json",
     "group_from_table", "image_eval", "k_coeff", "k_coeff_oracle",
     "p_sharp_eval", "pp_multiply", "pp_type", "pp_unity", "product_classes",
     "proj", "psi", "resolve_group", "s_sharp_eval", "semigroup_order",

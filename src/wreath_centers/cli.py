@@ -24,7 +24,8 @@ from .partial import class_size_partial, enumerate_partial_class, semigroup_orde
 from .shifted import verify_theorem71
 from .universal import (
     k_vector, structure_polynomial, structure_polynomials, verify_polynomiality)
-from .wreath import PartitionFamily, class_order, families_of_size, families_up_to
+from .wreath import (
+    PartitionFamily, class_order, families_of_size, families_up_to, family_count)
 
 _FORMATS = ("json", "csv", "latex")
 _DEFAULTS = {
@@ -204,10 +205,20 @@ def _cx_latex(v):
     return f"{v.real:.4g}{v.imag:+.4g}i"
 
 
+def _cap_listing(count, cfg):
+    """classes and enumerate-partial list every family; refuse a listing
+    longer than --cap-class-size before it starts."""
+    if count > cfg.cap_class_size:
+        raise err.CapExceeded(
+            f"the listing reaches {count} families, above the cap "
+            f"{cfg.cap_class_size}; raise --cap-class-size")
+
+
 def cmd_classes(G, cfg, args):
     n = args.n
     if n > cfg.max_n:
         raise err.CapExceeded(f"n={n} exceeds the configured max_n={cfg.max_n}")
+    _cap_listing(family_count(n, G.num_classes), cfg)
     rows = []
     total = 0
     for fam in families_of_size(n, G.num_classes):
@@ -498,6 +509,11 @@ def cmd_enumerate_partial(G, cfg, args):
                 for e in payload["elements"]]
         header = ["support", "omega", "labels"]
     else:
+        # size by size, so a large n stops as soon as the cap is passed
+        count = 0
+        for size in range(n + 1):
+            count += family_count(size, G.num_classes)
+            _cap_listing(count, cfg)
         fams = []
         total = 0
         for fam in families_up_to(n, G.num_classes):

@@ -25,10 +25,6 @@ class DiagonalizationFailed(WreathCentersError):
     """Character table eigensolve did not separate after retries."""
 
 
-class NotSubtractable(WreathCentersError):
-    """Partition difference requested where containment fails."""
-
-
 class PadTooSmall(WreathCentersError):
     """Target size is smaller than the object being padded."""
 

@@ -68,18 +68,12 @@ class FiniteGroup:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def centralizer_order(self, c: int) -> int:
-        return self.xi[c]
-
     def element_order(self, x: int) -> int:
         k, y = 1, x
         while y != 0:
             y = self.mul[y][x]
             k += 1
         return k
-
-    def is_abelian(self) -> bool:
-        return all(len(c) == 1 for c in self.classes)
 
     def cyclic_generator(self):
         """An element of full order, or None."""

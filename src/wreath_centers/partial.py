@@ -67,9 +67,6 @@ class GPartialPermutation:
             tuple(labels[i] for i in support),
         )
 
-    def is_unity(self):
-        return not self.support
-
     def __eq__(self, other):
         if not isinstance(other, GPartialPermutation):
             return NotImplemented
@@ -207,23 +204,16 @@ def class_size_partial(lam, n, G):
     return comb(n - k + m1, m1) * class_order(lam.pad(n), G)[1]
 
 
-def enumerate_partial_class(lam, n, G, restrict_support=None):
+def enumerate_partial_class(lam, n, G):
     """Stream C_{Lambda;n}, each element exactly once.
 
-    Supports of size |lam| are chosen from [n] (or from
-    restrict_support), then permutation structures and admissible
-    labelings are filled in per cycle.
+    Supports of size |lam| are chosen from [n], then permutation
+    structures and admissible labelings are filled in per cycle.
     """
     k = lam.size
     if k > n:
         raise SizeMismatch("|Lambda|=%d exceeds n=%d" % (k, n))
-    if restrict_support is None:
-        ground = tuple(range(1, n + 1))
-    else:
-        ground = tuple(sorted(set(restrict_support)))
-        if ground and (ground[0] < 1 or ground[-1] > n):
-            raise SizeMismatch("restrict_support outside [1, %d]" % n)
-    for sup in combinations(ground, k):
+    for sup in combinations(range(1, n + 1), k):
         for omega, labels in iter_class(lam, sup, G):
             yield GPartialPermutation(sup, omega, labels)
 

@@ -9,14 +9,13 @@ exact Python ints. Permutations are one-line tuples with 0-based images
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import lru_cache
 
-from .errors import NotSubtractable, PadTooSmall, SizeMismatch
+from .errors import SizeMismatch
 
 __all__ = [
-    "as_partition", "z_of", "union", "subtract", "proper_part", "is_proper",
-    "m1", "pad", "cycle_type", "partitions_of", "conjugate", "dim_partition",
-    "mn_character", "skew_count", "contains",
+    "as_partition", "z_of", "union", "partitions_of", "conjugate",
+    "dim_partition", "mn_character", "skew_count", "contains",
 ]
 
 
@@ -44,60 +43,7 @@ def union(lam, mu) -> tuple:
     return tuple(sorted(tuple(lam) + tuple(mu), reverse=True))
 
 
-def subtract(lam, mu) -> tuple:
-    """Multiset difference lam minus mu; raises NotSubtractable if mu is not contained."""
-    parts = list(lam)
-    for p in mu:
-        try:
-            parts.remove(p)
-        except ValueError:
-            raise NotSubtractable(f"{mu} is not a sub-multiset of {lam}") from None
-    return tuple(parts)
-
-
-def proper_part(lam) -> tuple:
-    """The partition with all parts equal to 1 removed."""
-    return tuple(p for p in lam if p != 1)
-
-
-def is_proper(lam) -> bool:
-    return 1 not in lam
-
-
-def m1(lam) -> int:
-    """Multiplicity of the part 1."""
-    return lam.count(1)
-
-
-def pad(lam, n: int) -> tuple:
-    """Extend lam with 1-parts up to total size n."""
-    size = sum(lam)
-    if n < size:
-        raise PadTooSmall(f"cannot pad size-{size} partition to {n}")
-    return tuple(lam) + (1,) * (n - size)
-
-
-def cycle_type(perm) -> tuple:
-    """Cycle type of a 0-based one-line permutation."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation in 0-based one-line form")
-    seen = [False] * n
-    lens = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lens.append(length)
-    return tuple(sorted(lens, reverse=True))
-
-
-@cache
+@lru_cache(maxsize=4096)
 def partitions_of(n: int) -> tuple:
     """All partitions of n in descending lexicographic order."""
     def gen(rem, cap):
@@ -140,7 +86,7 @@ def _beta_to_partition(beta) -> tuple:
     return tuple(p for p in lam if p > 0)
 
 
-@cache
+@lru_cache(maxsize=4096)
 def mn_character(lam, rho) -> int:
     """Symmetric group character chi^lam at cycle type rho.
 
@@ -183,7 +129,7 @@ def contains(rho, lam) -> bool:
     return all(rho[i] <= lam[i] for i in range(len(rho)))
 
 
-@cache
+@lru_cache(maxsize=4096)
 def skew_count(lam, rho) -> int:
     """Number of standard Young tableaux of skew shape lam/rho.
 

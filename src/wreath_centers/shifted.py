@@ -22,12 +22,9 @@ from .wreath import PartitionFamily, class_order, families_up_to
 
 __all__ = [
     "CharacterCalculator",
-    "character_value",
-    "eta_value",
     "p_sharp_eval",
     "s_sharp_eval",
     "p_sharp_family_eval",
-    "f_image_eval",
     "image_eval",
     "verify_theorem71",
 ]
@@ -169,21 +166,7 @@ def get_calculator(G):
     return CharacterCalculator(G)
 
 
-def character_value(lam, delta, G, chars=None):
-    calc = get_calculator(G) if chars is None else CharacterCalculator(G, chars)
-    return calc.x_value(lam, delta)
-
-
-def eta_value(gamma_idx, fam, chars):
-    """Character of the tensor-power representation: product over
-    classes of gamma(c)^(number of cycles with product in c)."""
-    out = 1.0 + 0.0j
-    for c, parts in fam.entries:
-        out *= chars.rows[gamma_idx][c] ** len(parts)
-    return out
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def p_sharp_eval(delta, lam):
     """p#_delta(lam) = (|lam| falling |delta|) / dim lam * chi^lam at
     delta padded with 1-parts; 0 when |lam| < |delta|.  Exact."""
@@ -195,7 +178,7 @@ def p_sharp_eval(delta, lam):
     return Fraction(perm(ntop, nlow) * mn_character(lam, padded), dim_partition(lam))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def s_sharp_eval(rho, lam):
     """s#_rho(lam) = (|lam| falling |rho|) / dim lam * f^{lam/rho};
     0 unless rho fits inside lam.  Exact."""
@@ -216,18 +199,16 @@ def p_sharp_family_eval(delta, point):
     return out
 
 
-@lru_cache(maxsize=None)
-def f_image_eval(delta, point, G):
-    """(|G|^{|delta|} / Z_delta) * product of p#_{delta(i)}(point(i)),
-    aligning the i-th class with the i-th evaluation partition.  This
-    is the image of C_{delta;inf} when |G| = 1 (one alphabet); for
-    larger groups the image needs the character-alphabet expansion,
-    see image_eval."""
-    z = class_order(delta, G)[0]
-    return Fraction(G.order ** delta.size, z) * p_sharp_family_eval(delta, point)
-
-
-def _char_route_eval(calc, delta, point):
+def image_eval(delta, point, G, calc=None):
+    """Image of C_{delta;inf} under the isomorphism, evaluated at a
+    character-indexed family of partitions: (|G|^{|delta|} / Z_delta)
+    times P#_delta at the point.  Exact for |G| = 1, where the one class
+    alphabet is the one character alphabet."""
+    factor = Fraction(G.order ** delta.size, class_order(delta, G)[0])
+    if G.order == 1:
+        return factor * p_sharp_family_eval(delta, point)
+    if calc is None:
+        calc = get_calculator(G)
     # P#_delta at a character-indexed point: expand P_delta into
     # character alphabets, substitute p# per alphabet, evaluate.
     # Conjugate coefficients keep the alphabet labeled gamma aligned
@@ -239,18 +220,7 @@ def _char_route_eval(calc, delta, point):
         val = p_sharp_family_eval(mfam, point)
         if val:
             total += complex(c).conjugate() * float(val)
-    return total
-
-
-def image_eval(delta, point, G, calc=None):
-    """Image of C_{delta;inf} under the isomorphism, evaluated at a
-    character-indexed family of partitions.  Exact for |G| = 1."""
-    if G.order == 1:
-        return f_image_eval(delta, point, G)
-    if calc is None:
-        calc = get_calculator(G)
-    factor = Fraction(G.order ** delta.size, class_order(delta, G)[0])
-    return float(factor) * _char_route_eval(calc, delta, point)
+    return float(factor) * total
 
 
 def verify_theorem71(G, chars=None, size_cap=2, samples=None,
@@ -265,52 +235,56 @@ def verify_theorem71(G, chars=None, size_cap=2, samples=None,
     (b) homomorphism: expanding C_{d1;inf} C_{d2;inf} through the
         universal coefficients and applying the map term-wise matches
         the product of the images, exactly, at class-indexed points.
+
+    Each (delta, point) image is evaluated once per call.  Values are
+    exact Fractions for |G| = 1 and complex floats, compared within
+    tol, otherwise.
     """
     calc = CharacterCalculator(G, chars) if chars is not None else get_calculator(G)
     ncls = G.num_classes
     nchars = len(calc.chars.rows)
+    exact = G.order == 1
+    images = {}
     rows = []
 
-    deltas = [f for f in families_up_to(size_cap, ncls)]
+    def image(fam, pt):
+        hit = images.get((fam, pt))
+        if hit is None:
+            hit = images[(fam, pt)] = image_eval(fam, pt, G, calc)
+        return hit
+
+    def row(check, inp, lhs, rhs):
+        if exact:
+            ok = lhs == rhs
+            err = abs(float(lhs - rhs))
+        else:
+            err = abs(lhs - rhs)
+            ok = err <= tol * max(1.0, abs(rhs))
+        rows.append({"check": check, "input": inp, "lhs": _fmt(lhs),
+                     "rhs": _fmt(rhs), "pass": bool(ok),
+                     "abs_err": float(err)})
+
+    deltas = list(families_up_to(size_cap, ncls))
     if samples is not None:
         deltas = deltas[:samples]
-    points = [f for f in families_up_to(point_size, nchars, kind="char")]
-    trivial_g = G.order == 1
+    points = list(families_up_to(point_size, nchars, kind="char"))
     for delta in deltas:
         factor = Fraction(G.order ** delta.size, class_order(delta, G)[0])
         for lam in points:
-            if trivial_g:
-                lhs = factor * p_sharp_family_eval(delta, lam)
-                if lam.size >= delta.size:
-                    lpart = lam.get(0)
-                    dpart = delta.get(0)
-                    padded = tuple(sorted(
-                        dpart + (1,) * (lam.size - delta.size), reverse=True))
-                    chi = mn_character(lpart, padded) if lam.size else 1
-                    rhs = factor * Fraction(
-                        perm(lam.size, delta.size) * chi, dim_partition(lpart))
-                else:
-                    rhs = Fraction(0)
-                ok = lhs == rhs
-                err = abs(float(lhs - rhs))
+            # the reference side: central characters, not the image route
+            if lam.size < delta.size:
+                rhs = Fraction(0) if exact else 0j
+            elif exact:
+                lpart = lam.get(0)
+                chi = mn_character(lpart, delta.pad(lam.size).get(0))
+                rhs = factor * Fraction(
+                    perm(lam.size, delta.size) * chi, dim_partition(lpart))
             else:
-                lhs = float(factor) * _char_route_eval(calc, delta, lam)
-                if lam.size >= delta.size:
-                    x = calc.x_value(lam, delta.pad(lam.size))
-                    rhs = (float(factor) * perm(lam.size, delta.size)
-                           / calc.dim(lam)) * x
-                else:
-                    rhs = 0.0 + 0.0j
-                err = abs(lhs - rhs)
-                ok = err <= tol * max(1.0, abs(rhs))
-            rows.append({
-                "check": "chain",
-                "input": {"delta": delta.to_json(), "lam": lam.to_json()},
-                "lhs": _fmt(lhs),
-                "rhs": _fmt(rhs),
-                "pass": bool(ok),
-                "abs_err": float(err),
-            })
+                x = calc.x_value(lam, delta.pad(lam.size))
+                rhs = (float(factor) * perm(lam.size, delta.size)
+                       / calc.dim(lam)) * x
+            row("chain", {"delta": delta.to_json(), "lam": lam.to_json()},
+                image(delta, lam), rhs)
 
     proper = [f for f in families_up_to(size_cap, ncls) if f.is_proper()]
     pairs = [(a, b) for i, a in enumerate(proper) for b in proper[i:]]
@@ -318,34 +292,17 @@ def verify_theorem71(G, chars=None, size_cap=2, samples=None,
         pairs = pairs[:samples]
     for d1, d2 in pairs:
         kvec = k_vector(d1, d2, G).items()
-        pts = [f for f in families_up_to(
+        pts = list(families_up_to(
             min(d1.size + d2.size + 1, point_size), nchars,
-            kind="char")][:point_cap]
+            kind="char"))[:point_cap]
         for pt in pts:
-            v1 = image_eval(d1, pt, G, calc)
-            v2 = image_eval(d2, pt, G, calc)
-            rhs = v1 * v2
-            if trivial_g:
-                lhs = Fraction(0)
-                for g, k in kvec:
-                    lhs += k * image_eval(g, pt, G, calc)
-                ok = lhs == rhs
-                err = abs(float(lhs - rhs))
-            else:
-                lhs = 0.0 + 0.0j
-                for g, k in kvec:
-                    lhs += k * image_eval(g, pt, G, calc)
-                err = abs(lhs - rhs)
-                ok = err <= tol * max(1.0, abs(rhs))
-            rows.append({
-                "check": "homomorphism",
-                "input": {"delta1": d1.to_json(), "delta2": d2.to_json(),
-                          "point": pt.to_json()},
-                "lhs": _fmt(lhs),
-                "rhs": _fmt(rhs),
-                "pass": bool(ok),
-                "abs_err": float(err),
-            })
+            rhs = image(d1, pt) * image(d2, pt)
+            lhs = Fraction(0) if exact else 0j
+            for g, k in kvec:
+                lhs += k * image(g, pt)
+            row("homomorphism",
+                {"delta1": d1.to_json(), "delta2": d2.to_json(),
+                 "point": pt.to_json()}, lhs, rhs)
     return rows
 
 

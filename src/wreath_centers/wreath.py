@@ -22,8 +22,8 @@ from .groups import FiniteGroup
 from .partitions import as_partition, partitions_of, union, z_of
 
 __all__ = [
-    "PartitionFamily", "WreathElement", "families_of_size", "families_up_to",
-    "family_order",
+    "PartitionFamily", "WreathElement", "families_of_size", "family_count",
+    "families_up_to", "family_order",
     "w_multiply", "w_inverse", "cycle_product", "type_of", "class_order",
     "enumerate_class", "canonical_representative", "iter_class",
 ]
@@ -144,6 +144,23 @@ def families_of_size(n: int, num_indices: int, kind: str = "class"):
                     yield head + rest
     for items in gen(0, n):
         yield PartitionFamily(items, kind)
+
+
+def family_count(n: int, num_indices: int) -> int:
+    """How many families families_of_size(n, num_indices) yields, without
+    listing them: the num_indices-fold convolution of the partition
+    numbers p(0), ..., p(n)."""
+    if n < 0:
+        return 0
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    out = [1] + [0] * n
+    for _ in range(num_indices):
+        out = [sum(out[j] * p[m - j] for j in range(m + 1))
+               for m in range(n + 1)]
+    return out[n]
 
 
 def families_up_to(n: int, num_indices: int, kind: str = "class"):

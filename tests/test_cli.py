@@ -193,6 +193,21 @@ def test_exit_cap_exceeded():
     assert r.returncode == 5
 
 
+def test_listing_cap_checked_before_listing():
+    # classes lists every family of size n: 1,165 at n = 12 on Z_2
+    r = run("--group", "cyclic:2", "--cap-class-size", "1000",
+            "classes", "--n", "12")
+    assert r.returncode == 5, r.stderr
+    assert "1165" in r.stderr
+    # p(255) families, far above the default cap: refused at once
+    r = run("--group", "trivial", "classes", "--n", "255")
+    assert r.returncode == 5, r.stderr
+    # enumerate-partial lists every family of size <= n
+    r = run("--group", "cyclic:2", "--cap-class-size", "1000",
+            "enumerate-partial", "--n", "12")
+    assert r.returncode == 5, r.stderr
+
+
 def test_k_path_cap_checked_before_streaming():
     # kcoeff and poly stream C_{(6)^1;12} over Z_3: 26,943,840 elements,
     # above the default cap, so both refuse before streaming

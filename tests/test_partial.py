@@ -124,14 +124,6 @@ def test_class_size_examples(z2):
         class_size_partial(PartitionFamily({0: (4,)}), 3, z2)
 
 
-def test_restrict_support(z2):
-    fam = PartitionFamily({0: (2,)})
-    assert list(enumerate_partial_class(fam, 3, z2, restrict_support=[1])) == []
-    got = list(enumerate_partial_class(fam, 3, z2, restrict_support=[1, 3]))
-    assert len(got) == 2
-    assert all(set(e.support) == {1, 3} for e in got)
-
-
 def test_enumeration_members_have_the_type(z3):
     for fam in families_up_to(3, 3):
         for e in enumerate_partial_class(fam, 4, z3):

@@ -3,11 +3,9 @@ from math import factorial
 
 import pytest
 
-from wreath_centers.errors import NotACycle, NotSubtractable
 from wreath_centers.partitions import (
-    as_partition, conjugate, contains, cycle_type, dim_partition,
-    m1, mn_character, pad, partitions_of, proper_part, skew_count,
-    subtract, union, z_of)
+    as_partition, conjugate, contains, dim_partition, mn_character,
+    partitions_of, skew_count, union, z_of)
 
 
 def test_as_partition_sorts_and_validates():
@@ -21,9 +19,6 @@ def test_as_partition_sorts_and_validates():
 
 def test_union_subtract():
     assert union((3, 1), (2, 1)) == (3, 2, 1, 1)
-    assert subtract((3, 2, 1, 1), (2, 1)) == (3, 1)
-    with pytest.raises(NotSubtractable):
-        subtract((3, 1), (2,))
 
 
 def test_z_of():
@@ -45,14 +40,6 @@ def test_conjugate():
     for n in range(7):
         for lam in partitions_of(n):
             assert conjugate(conjugate(lam)) == lam
-
-
-def test_cycle_type():
-    # (1,4)(2,6,3)(5)(7,8) on eight points, zero-based one-line form
-    perm = [3, 5, 1, 0, 4, 2, 7, 6]
-    assert cycle_type(perm) == (3, 2, 2, 1)
-    assert cycle_type([0, 1, 2]) == (1, 1, 1)
-    assert cycle_type([]) == ()
 
 
 def test_dim_known_values():
@@ -111,11 +98,3 @@ def test_contains():
     assert not contains((2, 2, 1), (3, 2))
     assert contains((), (1,))
     assert not contains((1,), ())
-
-
-def test_m1_pad_proper():
-    assert m1((3, 1, 1)) == 2
-    assert pad((2,), 4) == (2, 1, 1)
-    assert proper_part((3, 1, 1)) == (3,)
-    with pytest.raises(Exception):
-        pad((3,), 2)

@@ -1,7 +1,7 @@
 """Shifted-symmetric layer: characters, sharp functions, the iso checks."""
 import itertools
 import math
-import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,9 +9,10 @@ import pytest
 from wreath_centers.errors import SizeMismatch
 from wreath_centers.groups import FiniteGroup, builtin_group
 from wreath_centers.partitions import mn_character, partitions_of
+from wreath_centers import shifted
 from wreath_centers.shifted import (
-    CharacterCalculator, eta_value, f_image_eval, get_calculator, image_eval,
-    p_sharp_eval, p_sharp_family_eval, s_sharp_eval, verify_theorem71,
+    CharacterCalculator, get_calculator, image_eval, p_sharp_eval,
+    p_sharp_family_eval, s_sharp_eval, verify_theorem71,
 )
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, class_order, families_of_size,
@@ -132,27 +133,13 @@ def test_p_sharp_is_s_sharp_combination():
                     assert lhs == rhs
 
 
-def test_eta_multiplicative(z3):
-    rng = random.Random(7)
-    ch3 = z3.character_table()
-    perms4 = list(itertools.permutations(range(4)))
-    for _ in range(60):
-        a = WreathElement([rng.randrange(3) for _ in range(4)], rng.choice(perms4))
-        b = WreathElement([rng.randrange(3) for _ in range(4)], rng.choice(perms4))
-        for g in range(3):
-            va = eta_value(g, type_of(a, z3), ch3)
-            vb = eta_value(g, type_of(b, z3), ch3)
-            vab = eta_value(g, type_of(w_multiply(a, b, z3), z3), ch3)
-            assert abs(va * vb - vab) < 1e-9
-
-
 def test_image_eval_exact_trivial(triv):
     delta = PartitionFamily({0: (2,)})
     pt = PartitionFamily({0: (2,)}, kind="char")
-    assert f_image_eval(delta, pt, triv) == 1
     assert image_eval(delta, pt, triv) == 1
+    assert isinstance(image_eval(delta, pt, triv), Fraction)
     # below the support size the sharp functions vanish
-    assert f_image_eval(delta, PartitionFamily({0: (1,)}, kind="char"), triv) == 0
+    assert image_eval(delta, PartitionFamily({0: (1,)}, kind="char"), triv) == 0
 
 
 def test_hom_example_trivial(triv):
@@ -168,8 +155,8 @@ def test_hom_example_trivial(triv):
                 continue
             k = k_coeff(delta, delta, gamma, triv)
             if k:
-                lhs += k * f_image_eval(gamma, pt, triv)
-        assert lhs == f_image_eval(delta, pt, triv) ** 2, lam
+                lhs += k * image_eval(gamma, pt, triv)
+        assert lhs == image_eval(delta, pt, triv) ** 2, lam
 
 
 def test_verify_theorem71_small(z2, triv):
@@ -179,6 +166,25 @@ def test_verify_theorem71_small(z2, triv):
     assert {r["check"] for r in rows} == {"chain", "homomorphism"}
     rows2 = verify_theorem71(z2, size_cap=2, point_size=4, samples=40)
     assert rows2 and all(r["pass"] for r in rows2)
+
+
+@pytest.mark.parametrize("gname", ["trivial", "cyclic:2"])
+def test_verify_theorem71_evaluates_each_image_once(monkeypatch, gname):
+    """One call reads each (delta, point) image once, for the chain lhs,
+    both homomorphism factors and every k-term alike."""
+    G = builtin_group(gname)
+    calls = Counter()
+    real = shifted.image_eval
+
+    def counting(delta, point, *args):
+        calls[(delta, point)] += 1
+        return real(delta, point, *args)
+
+    monkeypatch.setattr(shifted, "image_eval", counting)
+    rows = verify_theorem71(G, size_cap=2, point_size=4)
+    assert rows and all(r["pass"] for r in rows)
+    assert {r["check"] for r in rows} == {"chain", "homomorphism"}
+    assert calls and set(calls.values()) == {1}
 
 
 def test_p_sharp_family_index_agnostic(z2):

@@ -9,7 +9,7 @@ from wreath_centers.errors import NotACycle, PadTooSmall, SizeMismatch
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, canonical_representative, class_order,
     cycle_product, enumerate_class, families_of_size, families_up_to,
-    family_order, type_of, w_inverse, w_multiply,
+    family_count, family_order, type_of, w_inverse, w_multiply,
 )
 
 
@@ -213,6 +213,11 @@ def test_families_of_size_counts():
     assert all(f.size <= 2 for f in fams)
     # no duplicates across the sweep
     assert len(set(fams)) == len(fams)
+    # the closed-form count, without enumerating
+    for num_indices in range(5):
+        for n in range(-1, 7):
+            assert family_count(n, num_indices) == len(
+                list(families_of_size(n, num_indices))), (n, num_indices)
 
 
 @pytest.mark.parametrize("num_indices,n", [(1, 8), (2, 6), (3, 5), (4, 4), (5, 4)])
