@@ -7,7 +7,7 @@ of the isomorphism with shifted symmetric functions on one alphabet per
 irreducible character of G.
 """
 
-from .center import AlgebraVector, c_coeff, product_classes
+from .center import AlgebraVector, product_classes
 from .groups import FiniteGroup, builtin_group, group_from_json, group_from_table, resolve_group
 from .kernels import BACKEND, available_backends
 from .partial import (
@@ -29,7 +29,7 @@ __all__ = [
     "AlgebraVector", "BACKEND", "CharacterCalculator", "FiniteGroup",
     "GPartialPermutation", "PartitionFamily", "PolynomialInN",
     "WreathElement", "__version__", "act", "available_backends",
-    "builtin_group", "c_coeff", "class_order",
+    "builtin_group", "class_order",
     "class_size_partial", "enumerate_class", "enumerate_partial_class",
     "families_of_size", "families_up_to", "group_from_json",
     "group_from_table", "image_eval", "k_coeff", "k_coeff_oracle",

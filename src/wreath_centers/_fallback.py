@@ -1,7 +1,7 @@
 """Pure-Python enumeration kernel.
 
 Streams a full conjugacy class of G wr S_n and histograms the types of
-u = w^-1 z, z w^-1, z w or w z for a fixed element z.  This is the
+u = z w or w z for a fixed element z.  This is the
 reference twin of the compiled kernel in _speedups; both produce the
 same packed byte keys (see kernels.encode_type_key).
 """
@@ -11,8 +11,6 @@ from .wreath import _iter_class_raw, _perm_inverse
 __all__ = ["type_histogram"]
 
 # side codes
-INV_W_TIMES_Z = 0  # u = w^-1 z
-Z_TIMES_INV_W = 1  # u = z w^-1
 Z_TIMES_W = 2      # u = z w
 W_TIMES_Z = 3      # u = w z
 
@@ -20,7 +18,6 @@ W_TIMES_Z = 3      # u = w z
 def type_histogram(G, fam, z, side):
     n = fam.size
     mul = G.mul
-    inv = G.inv
     cls_of = G.class_of
     m = G.num_classes
     width = n + 1
@@ -29,15 +26,7 @@ def type_histogram(G, fam, z, side):
     hist = {}
     rng = range(n)
     for wlab, wperm in _iter_class_raw(fam, n, G):
-        if side == INV_W_TIMES_Z:
-            wpinv = _perm_inverse(wperm)
-            ulab = [mul[inv[wlab[wperm[zpinv[i]]]]][zlab[i]] for i in rng]
-            uperm = [zperm[wpinv[i]] for i in rng]
-        elif side == Z_TIMES_INV_W:
-            wpinv = _perm_inverse(wperm)
-            ulab = [mul[zlab[wperm[i]]][inv[wlab[wperm[i]]]] for i in rng]
-            uperm = [wpinv[zperm[i]] for i in rng]
-        elif side == Z_TIMES_W:
+        if side == Z_TIMES_W:
             wpinv = _perm_inverse(wperm)
             ulab = [mul[zlab[wpinv[i]]][wlab[i]] for i in rng]
             uperm = [wperm[zperm[i]] for i in rng]

@@ -12,10 +12,10 @@ for any fixed x0 in C_Lambda, and the coefficient is that divided by
 """
 
 from .errors import CapExceeded, SizeMismatch
-from .kernels import decode_type_key, encode_type_key, type_histogram
+from .kernels import decode_type_key, type_histogram
 from .wreath import canonical_representative, class_order
 
-__all__ = ["AlgebraVector", "c_coeff", "product_classes", "DEFAULT_CLASS_CAP"]
+__all__ = ["AlgebraVector", "product_classes", "DEFAULT_CLASS_CAP"]
 
 DEFAULT_CLASS_CAP = 5_000_000
 
@@ -65,27 +65,6 @@ def _check_sizes(n, *fams):
     for fam in fams:
         if fam.size != n:
             raise SizeMismatch("family %r has size %d, expected %d" % (fam, fam.size, n))
-
-
-def c_coeff(lam, delta, gamma, n, G, cap=DEFAULT_CLASS_CAP):
-    """Structure coefficient of C_gamma in C_lam * C_delta, all size n."""
-    _check_sizes(n, lam, delta, gamma)
-    z = canonical_representative(gamma, n, G)
-    size_l = class_order(lam, G)[1]
-    size_d = class_order(delta, G)[1]
-    if min(size_l, size_d) > cap:
-        raise CapExceeded(
-            "smallest streamable class has %d elements, cap is %d"
-            % (min(size_l, size_d), cap))
-    # count solutions of x y = z with the smaller class streamed:
-    # stream x, test x^{-1} z in C_delta, or stream y, test z y^{-1} in C_lam
-    if size_l <= size_d:
-        hist = type_histogram(G, lam, z, side=0)
-        want = encode_type_key(delta, n, G.num_classes)
-    else:
-        hist = type_histogram(G, delta, z, side=1)
-        want = encode_type_key(lam, n, G.num_classes)
-    return hist.get(want, 0)
 
 
 def product_classes(lam, delta, n, G, cap=DEFAULT_CLASS_CAP):

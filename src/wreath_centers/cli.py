@@ -205,12 +205,13 @@ def _cx_latex(v):
     return f"{v.real:.4g}{v.imag:+.4g}i"
 
 
-def _cap_listing(count, cfg):
-    """classes and enumerate-partial list every family; refuse a listing
-    longer than --cap-class-size before it starts."""
-    if count > cfg.cap_class_size:
+def _cap_listing(count, n, cfg):
+    """classes and enumerate-partial list every family, each row weighing
+    n; refuse a listing heavier than --cap-class-size before it starts."""
+    if count * max(n, 1) > cfg.cap_class_size:
         raise err.CapExceeded(
-            f"the listing reaches {count} families, above the cap "
+            f"the listing reaches {count} families of size up to {n}, "
+            f"weight {count * max(n, 1)}, above the cap "
             f"{cfg.cap_class_size}; raise --cap-class-size")
 
 
@@ -218,7 +219,7 @@ def cmd_classes(G, cfg, args):
     n = args.n
     if n > cfg.max_n:
         raise err.CapExceeded(f"n={n} exceeds the configured max_n={cfg.max_n}")
-    _cap_listing(family_count(n, G.num_classes), cfg)
+    _cap_listing(family_count(n, G.num_classes), n, cfg)
     rows = []
     total = 0
     for fam in families_of_size(n, G.num_classes):
@@ -513,7 +514,7 @@ def cmd_enumerate_partial(G, cfg, args):
         count = 0
         for size in range(n + 1):
             count += family_count(size, G.num_classes)
-            _cap_listing(count, cfg)
+            _cap_listing(count, n, cfg)
         fams = []
         total = 0
         for fam in families_up_to(n, G.num_classes):

@@ -3,25 +3,21 @@
 Elements are ints 0..order-1 with 0 the identity; ingestion relabels the
 identity to 0 when the table puts it elsewhere. Conjugacy classes are
 sorted by (size ascending, minimal member ascending), which pins class 0
-to {0}. Character tables come from simultaneous diagonalization of the
-class-sum matrices (Burnside); cyclic groups use the exact root-of-unity
-closed form instead.
+to {0}. Character tables are exact, by Dixon's modular method over a
+prime field, and each value becomes a complex number only at the end.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
+import operator
 import re
-
-import numpy as np
 
 from .errors import (DiagonalizationFailed, NoIdentity, NotAssociative,
                      NotBijectiveRow, UnsupportedSpec)
 
 MAX_GROUP_ORDER = 24
-_EIG_SEED = 20240811
 _ORTHO_TOL = 1e-9
 
 
@@ -68,28 +64,9 @@ class FiniteGroup:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = self.mul[y][x]
-            k += 1
-        return k
-
-    def cyclic_generator(self):
-        """An element of full order, or None."""
-        for x in range(self.order):
-            if self.element_order(x) == self.order:
-                return x
-        return None
-
     def character_table(self) -> "CharacterTable":
         if self._char_table is None:
-            gen = self.cyclic_generator()
-            if gen is not None:
-                rows = _cyclic_rows(self, gen)
-            else:
-                rows = _burnside_rows(self)
-            self._char_table = CharacterTable(self, rows)
+            self._char_table = CharacterTable(self, _dixon_rows(self))
         return self._char_table
 
     def __eq__(self, other):
@@ -156,27 +133,10 @@ def _row_sort_key(row):
                                       for v in row))
 
 
-def _cyclic_rows(G: FiniteGroup, gen: int):
-    n = G.order
-    power = {0: 0}
-    x, k = gen, 1
-    while x != 0:
-        power[x] = k
-        x = G.mul[x][gen]
-        k += 1
-    rows = []
-    for i in range(n):
-        row = [0j] * n
-        for elt in range(n):
-            # abelian group: class index of a singleton class equals its member
-            row[G.class_of[elt]] = cmath.exp(2j * cmath.pi * i * power[elt] / n)
-        rows.append(row)
-    return rows
-
-
 def _class_sum_matrices(G: FiniteGroup):
+    """mats[c][j][t]: the coefficient of class sum t in C_c C_j."""
     k = G.num_classes
-    mats = np.zeros((k, k, k))
+    mats = [[None] * k for _ in range(k)]
     for c in range(k):
         for j in range(k):
             bucket = [0] * k
@@ -184,37 +144,108 @@ def _class_sum_matrices(G: FiniteGroup):
                 row = G.mul[x]
                 for y in G.classes[j]:
                     bucket[G.class_of[row[y]]] += 1
-            for t in range(k):
-                # pair counts are constant on the target class
-                mats[c][t][j] = bucket[t] // len(G.classes[t])
+            # pair counts are constant on the target class
+            mats[c][j] = [bucket[t] // len(G.classes[t]) for t in range(k)]
     return mats
 
 
-def _burnside_rows(G: FiniteGroup):
-    k = G.num_classes
-    mats = _class_sum_matrices(G)
-    sizes = np.array([len(c) for c in G.classes], dtype=float)
-    rng = np.random.default_rng(_EIG_SEED)
-    for _ in range(8):
-        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
-        combo = np.tensordot(coeffs, mats, axes=1)
-        _, vecs = np.linalg.eig(combo)
-        try:
-            rows = []
-            for idx in range(k):
-                v = vecs[:, idx]
-                norm = np.vdot(v, v).real
-                omega = np.array([np.vdot(v, mats[c] @ v) / norm for c in range(k)])
-                d_sq = G.order / np.sum(np.abs(omega) ** 2 / sizes)
-                d = math.sqrt(d_sq.real if isinstance(d_sq, complex) else d_sq)
-                if abs(d - round(d)) > 1e-6:
-                    raise DiagonalizationFailed(f"degree {d} not integral")
-                rows.append(tuple(round(d) * omega[c] / sizes[c] for c in range(k)))
-            return CharacterTable(G, rows).rows
-        except DiagonalizationFailed:
+def _nullspace(rows, ncols, p):
+    """A basis of {x in F_p^ncols : rows x = 0}, by Gauss-Jordan."""
+    m, pivots = [list(r) for r in rows], []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
             continue
-    raise DiagonalizationFailed(
-        f"character table did not separate after retries (order {G.order})")
+        m[r], m[piv] = m[piv], m[r]
+        # the pivot row is zero left of c, so only columns c.. change
+        s = pow(m[r][c], -1, p)
+        m[r][c:] = tail = [v * s % p for v in m[r][c:]]
+        for row in m:
+            if row is not m[r] and row[c]:
+                row[c:] = [(a - row[c] * b) % p for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+    # one basis vector per free column f: 1 at f, minus column f at pivots
+    return [[-m[pivots.index(c)][f] % p if c in pivots else int(c == f)
+             for c in range(ncols)] for f in range(ncols) if f not in pivots]
+
+
+def _dixon_rows(G: FiniteGroup):
+    """The irreducible characters of G by Dixon's modular method (Dixon
+    1967; Schneider 1990).  Mod a prime p = 1 (mod e), e the exponent of
+    G, with p^2 > 4|G|, the common eigenvectors of the class matrices are
+    the central characters omega; the degree d in [1, sqrt|G|] has d^2 =
+    |G| / sum_t omega_t omega_t* / |C_t|, and chi_t = d omega_t / |C_t|."""
+    k = G.num_classes
+    reps = [c[0] for c in G.classes]
+    powers = []  # powers[t][l]: the class of reps[t]^l, l below its order
+    for x in reps:
+        elems = [0]
+        while G.mul[elems[-1]][x] != 0:
+            elems.append(G.mul[elems[-1]][x])
+        powers.append([G.class_of[y] for y in elems])
+    e = math.lcm(*(len(seq) for seq in powers))
+    p = e + 1
+    while p * p <= 4 * G.order or any(p % q == 0 for q in range(2, p)):
+        p += e
+    # z: an element of multiplicative order e, the image of exp(2 pi i/e)
+    z = next(w for w in range(1, p) if pow(w, e, p) == 1
+             and all(pow(w, j, p) != 1 for j in range(1, e)))
+
+    # split F_p^k into common eigenspaces, one class matrix at a time
+    spaces = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    for mat in _class_sum_matrices(G)[1:]:
+        split = []
+        for space in spaces:
+            if len(space) == 1:
+                split.append(space)
+                continue
+            images = [[sum(a * b for a, b in zip(row, v)) % p for row in mat]
+                      for v in space]
+            found = 0
+            for lam in range(p):
+                coeffs = _nullspace(
+                    [[(img[t] - lam * v[t]) % p for img, v in zip(images, space)]
+                     for t in range(k)], len(space), p)
+                if coeffs:
+                    split.append([[sum(a * v[t] for a, v in zip(cf, space)) % p
+                                   for t in range(k)] for cf in coeffs])
+                    found += len(coeffs)
+                    if found == len(space):
+                        break
+        spaces = split
+    if len(spaces) != k:
+        raise DiagonalizationFailed(f"class matrices split into "
+                                    f"{len(spaces)} eigenspaces mod {p}, not {k}")
+
+    # fourier[t][j][l] = w^(-jl) / o for w = z^(e/o), o the order of reps[t]
+    fourier = [[[pow(z, -(e // len(seq)) * j * l % e, p) * pow(len(seq), -1, p) % p
+                 for l in range(len(seq))] for j in range(len(seq))]
+               for seq in powers]
+    inv_sizes = [pow(len(c), -1, p) for c in G.classes]
+    rows = []
+    for (v,) in spaces:
+        omega = [a * pow(v[0], -1, p) % p for a in v]
+        norm = sum(omega[t] * omega[G.class_of[G.inv[x]]] * inv_sizes[t]
+                   for t, x in enumerate(reps))
+        d = next(d for d in range(1, math.isqrt(G.order) + 1)
+                 if d * d * norm % p == G.order % p)
+        chi = [d * omega[t] * inv_sizes[t] % p for t in range(k)]
+        rows.append([_lift([chi[c] for c in seq], f, p)
+                     for seq, f in zip(powers, fourier)])
+    return rows
+
+
+def _lift(vals, fourier, p):
+    """chi(g) from vals[l] = chi(g^l) mod p: row j of fourier gives the
+    multiplicity of exp(2 pi i j/o), exactly, as it lies in [0, chi(1)]."""
+    o = len(vals)
+    mults = [sum(map(operator.mul, vals, row)) % p for row in fourier]
+    re = sum(m * math.cos(2 * math.pi * j / o) for j, m in enumerate(mults))
+    if all(mults[j] == mults[-j] for j in range(o)):  # a real value
+        return complex(re, 0.0)
+    return complex(re, sum(m * math.sin(2 * math.pi * j / o)
+                           for j, m in enumerate(mults)))
 
 
 def group_from_table(rows, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
@@ -310,7 +341,8 @@ def builtin_group(spec: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
 
 
 def group_from_json(obj, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
-    """Build a group from the file format {"order", "table", ["characters"]}."""
+    """Build a group from the file format {"order", "table", ["characters"]};
+    a "characters" matrix must equal the computed table up to row order."""
     if not isinstance(obj, dict) or "table" not in obj:
         raise UnsupportedSpec("group JSON must be an object with a 'table' field")
     table = obj["table"]
@@ -318,9 +350,11 @@ def group_from_json(obj, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
         raise UnsupportedSpec(f"declared order {obj['order']} != table size {len(table)}")
     G = group_from_table(table, max_order)
     if "characters" in obj:
-        rows = [[complex(re_im[0], re_im[1]) for re_im in row]
-                for row in obj["characters"]]
-        G._char_table = CharacterTable(G, rows)
+        given = CharacterTable(G, [[complex(re_im[0], re_im[1]) for re_im in row]
+                                   for row in obj["characters"]])
+        if any(abs(a - b) > _ORTHO_TOL for r1, r2 in zip(
+                given.rows, G.character_table().rows) for a, b in zip(r1, r2)):
+            raise DiagonalizationFailed("the given characters are not G's table")
     return G
 
 

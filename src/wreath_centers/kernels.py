@@ -89,7 +89,7 @@ def _kinds(fam):
 
 def type_histogram(G, fam, z, side, backend=None):
     """Stream C_fam in G wr S_n and histogram types of u against the
-    fixed element z; side selects u among w^-1 z, z w^-1, z w, w z."""
+    fixed element z; side 2 gives u = z w, side 3 gives u = w z."""
     n = fam.size
     if n != z.n:
         raise SizeMismatch("family size %d vs element size %d" % (n, z.n))
@@ -97,8 +97,8 @@ def type_histogram(G, fam, z, side, backend=None):
         raise Overflow("n=%d exceeds the packed-key limit %d" % (n, _MAX_N))
     if G.order > _MAX_ORDER:
         raise Overflow("|G|=%d exceeds kernel limit %d" % (G.order, _MAX_ORDER))
-    if side not in (0, 1, 2, 3):
-        raise ValueError("side must be 0..3")
+    if side not in (2, 3):
+        raise ValueError("side must be 2 or 3")
     name = backend or BACKEND
     if name == "cython":
         if _speedups is None:

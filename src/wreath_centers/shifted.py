@@ -214,11 +214,15 @@ def image_eval(delta, point, G, calc=None):
     # Conjugate coefficients keep the alphabet labeled gamma aligned
     # with the irreducibles labeled gamma (the twisted representation
     # on the full gamma row has character values gamma(c), not their
-    # conjugates).
+    # conjugates).  dim Lambda carries (dim gamma)^|Lambda(gamma)|, so
+    # each term is divided by (dim gamma)^|mu(gamma)|, once per box.
+    degrees = calc.chars.degrees
     total = 0.0 + 0.0j
     for mfam, c in calc.expand_class_family(delta).items():
         val = p_sharp_family_eval(mfam, point)
         if val:
+            for g, parts in mfam.entries:
+                val /= degrees[g] ** sum(parts)
             total += complex(c).conjugate() * float(val)
     return float(factor) * total
 
@@ -234,7 +238,7 @@ def verify_theorem71(G, chars=None, size_cap=2, samples=None,
         X^Lambda at padded delta.
     (b) homomorphism: expanding C_{d1;inf} C_{d2;inf} through the
         universal coefficients and applying the map term-wise matches
-        the product of the images, exactly, at class-indexed points.
+        the product of the images at character-indexed points.
 
     Each (delta, point) image is evaluated once per call.  Values are
     exact Fractions for |G| = 1 and complex floats, compared within

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 
-from .center import DEFAULT_CLASS_CAP, c_coeff
+from .center import DEFAULT_CLASS_CAP, product_classes
 from .errors import GuardrailExceeded, NotProper
 from .partial import (
     canonical_partial_representative,
@@ -225,7 +225,8 @@ def verify_polynomiality(lam, delta, gamma, G, n_range, cap=DEFAULT_CLASS_CAP):
     ok = True
     for n in n_range:
         predicted = poly.evaluate(n)
-        direct = c_coeff(lam.pad(n), delta.pad(n), gamma.pad(n), n, G, cap)
+        direct = product_classes(lam.pad(n), delta.pad(n), n, G,
+                                 cap).coeff(gamma.pad(n))
         match = predicted == direct
         ok = ok and match
         rows.append({"n": n, "predicted": predicted, "direct": direct, "match": match})

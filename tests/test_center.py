@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from wreath_centers.center import AlgebraVector, c_coeff, product_classes
+from wreath_centers.center import AlgebraVector, product_classes
 from wreath_centers.errors import CapExceeded, SizeMismatch
 from wreath_centers.wreath import (
     PartitionFamily, class_order, families_of_size,
@@ -56,16 +56,6 @@ def test_mass_and_commutativity(z2, z3):
                                       * class_order(delta, G)[1])
 
 
-def test_c_coeff_matches_expansion(z2):
-    n = 3
-    fams = list(families_of_size(n, 2))
-    for lam in fams:
-        for delta in fams:
-            vec = product_classes(lam, delta, n, z2)
-            for gamma in fams:
-                assert c_coeff(lam, delta, gamma, n, z2) == vec.coeff(gamma)
-
-
 def test_identity_acts_trivially(z3):
     n = 3
     e = PartitionFamily({0: (1, 1, 1)})
@@ -102,8 +92,6 @@ def test_cap_exceeded(z2):
     delta = PartitionFamily({1: (9,)})
     with pytest.raises(CapExceeded):
         product_classes(lam, delta, 9, z2, cap=10)
-    with pytest.raises(CapExceeded):
-        c_coeff(lam, delta, lam, 9, z2, cap=10)
 
 
 def test_size_mismatch(z2):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from wreath_centers import cli
 from wreath_centers.center import product_classes
 from wreath_centers.cli import main
 from wreath_centers.groups import builtin_group
@@ -208,6 +209,18 @@ def test_listing_cap_checked_before_listing():
     assert r.returncode == 5, r.stderr
 
 
+def test_listing_cap_weighs_each_family_by_n(monkeypatch, capsys):
+    """trivial classes --n 70 would list 4,087,968 families, under the
+    default cap by count; weighed by n per family it is refused before
+    any family is listed."""
+    def refuse(*args, **kw):
+        raise AssertionError("the listing started")
+
+    monkeypatch.setattr(cli, "families_of_size", refuse)
+    assert main(["--group", "trivial", "classes", "--n", "70"]) == 5
+    assert "4087968" in capsys.readouterr().err
+
+
 def test_k_path_cap_checked_before_streaming():
     # kcoeff and poly stream C_{(6)^1;12} over Z_3: 26,943,840 elements,
     # above the default cap, so both refuse before streaming
@@ -273,6 +286,16 @@ def test_verify_iso_output_shape():
     assert "checks passed" in r.stderr
 
 
+def test_verify_iso_non_abelian(capsys):
+    """The image route weighs each character alphabet by its degree, so
+    every check passes on a non-abelian G too."""
+    rc = main(["--group", "sym:3", "verify-iso", "--size-cap", "2",
+               "--point-size", "4"])
+    err = capsys.readouterr().err
+    assert rc == 0, err
+    assert "4301/4301 checks passed" in err
+
+
 def _readme_commands():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("\n## Command line", 1)[1].split("\n## ", 1)[0]
@@ -282,9 +305,7 @@ def _readme_commands():
 
 @pytest.mark.parametrize("line", _readme_commands())
 def test_readme_example_runs(capsys, line):
-    """Every command of the README's command-line block exits 0.  Its
-    verify-iso example uses an abelian group: the image route still
-    fails checks on non-abelian G."""
+    """Every command of the README's command-line block exits 0."""
     rc = main(shlex.split(line, comments=True)[1:])
     capsys.readouterr()
     assert rc == 0, line

@@ -1,4 +1,6 @@
 import cmath
+import subprocess
+import sys
 
 import pytest
 
@@ -6,8 +8,7 @@ from wreath_centers.errors import (
     DiagonalizationFailed, NoIdentity, NotAssociative, NotBijectiveRow,
     UnsupportedSpec)
 from wreath_centers.groups import (
-    _burnside_rows, builtin_group, group_from_json, group_from_table,
-    resolve_group)
+    builtin_group, group_from_json, group_from_table, resolve_group)
 
 
 def test_trivial():
@@ -80,19 +81,34 @@ def test_z2_z3_tables():
         assert complex(round(v.real, 6), round(v.imag, 6)) in vals
 
 
-def test_burnside_matches_closed_form_for_cyclic():
-    """The eigensolve route must reproduce the exponential table up to
-    row order, entrywise within 1e-9."""
-    for k in (2, 3, 4, 5, 6):
+def test_table_matches_closed_form_for_cyclic():
+    """The modular route reproduces the exponential table of Z_k, chi_i(x)
+    = exp(2 pi i i x / k), up to row order, entrywise within 1e-9."""
+    key = lambda r: tuple((round(v.real, 6), round(v.imag, 6)) for v in r)
+    for k in (2, 3, 4, 5, 6, 24):
         G = builtin_group(f"cyclic:{k}")
-        closed = sorted(G.character_table().rows,
-                        key=lambda r: tuple((round(v.real, 6), round(v.imag, 6))
-                                            for v in r))
-        burn = sorted(_burnside_rows(G),
-                      key=lambda r: tuple((round(v.real, 6), round(v.imag, 6))
-                                          for v in r))
-        for r1, r2 in zip(closed, burn):
+        # builtin Z_k: element x is the residue x, and class c is {c}
+        assert G.classes == tuple((x,) for x in range(k))
+        closed = sorted(([cmath.exp(2j * cmath.pi * i * x / k) for x in range(k)]
+                         for i in range(k)), key=key)
+        table = sorted(G.character_table().rows, key=key)
+        assert len(table) == k
+        for r1, r2 in zip(closed, table):
             assert all(abs(a - b) < 1e-9 for a, b in zip(r1, r2))
+
+
+def test_tables_need_no_numpy():
+    """The package imports and builds character tables with numpy blocked."""
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "import wreath_centers\n"
+            "from wreath_centers.groups import builtin_group\n"
+            "for spec in ('sym:3', 'dihedral:4', 'cyclic:5'):\n"
+            "    print(builtin_group(spec).character_table().degrees)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:3] == [
+        "(1, 1, 2)", "(1, 1, 1, 1, 2)", "(1, 1, 1, 1, 1)"]
 
 
 def test_table_validation():
@@ -130,6 +146,16 @@ def test_group_from_json_with_characters():
            "characters": [[[1, 0], [1, 0]], [[2, 0], [0, 0]]]}
     with pytest.raises(DiagonalizationFailed):
         group_from_json(bad)
+    # orthonormal with integral degrees, but not the table of the Klein
+    # group, whose values are all +-1
+    klein = {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                   [2, 3, 0, 1], [3, 2, 1, 0]],
+             "characters": [[[1, 0], [1, 0], [1, 0], [1, 0]],
+                            [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                            [[1, 0], [-1, 0], [0, -1], [0, 1]],
+                            [[1, 0], [1, 0], [-1, 0], [-1, 0]]]}
+    with pytest.raises(DiagonalizationFailed):
+        group_from_json(klein)
 
 
 def test_resolve_group_builtin_and_file(tmp_path):

@@ -159,6 +159,37 @@ def test_hom_example_trivial(triv):
         assert lhs == image_eval(delta, pt, triv) ** 2, lam
 
 
+@pytest.mark.parametrize("gname,n", [
+    ("cyclic:3", 2), ("sym:3", 2), ("dihedral:4", 2), ("cyclic:2", 3),
+    ("trivial", 4)])
+def test_image_eval_matches_central_characters(gname, n):
+    """At |Lambda| = |delta| = n the image of C_delta is the central
+    character |C_delta| chi(g) / chi(1) of G wr S_n.  The reference side
+    reads the character table of the explicit group G wr S_n, which
+    shares no code with the image route; rows are compared as a multiset."""
+    G = builtin_group(gname)
+    W, elems = wreath_group(G, n)
+    types = [type_of(elems[c[0]], G) for c in W.classes]
+    central = [[len(c) * row[t] / row[0] for t, c in enumerate(W.classes)]
+               for row in W.character_table().rows]
+    images = [[complex(image_eval(t, lam, G)) for t in types]
+              for lam in families_of_size(n, G.num_classes, kind="char")]
+    key = lambda row: tuple((round(v.real, 6), round(v.imag, 6)) for v in row)
+    assert len(images) == len(central)
+    for r1, r2 in zip(sorted(central, key=key), sorted(images, key=key)):
+        assert all(abs(a - b) < 1e-9 * max(1.0, abs(a)) for a, b in zip(r1, r2))
+
+
+@pytest.mark.parametrize("gname,size_cap,point_size", [
+    ("sym:3", 2, 4), ("dihedral:4", 2, 3)])
+def test_verify_theorem71_non_abelian(gname, size_cap, point_size):
+    """Every chain and homomorphism check passes on non-abelian G."""
+    rows = verify_theorem71(builtin_group(gname), size_cap=size_cap,
+                            point_size=point_size)
+    assert {r["check"] for r in rows} == {"chain", "homomorphism"}
+    assert all(r["pass"] for r in rows)
+
+
 def test_verify_theorem71_small(z2, triv):
     rows = verify_theorem71(triv, size_cap=2, point_size=4)
     assert rows and all(r["pass"] for r in rows)
