@@ -26,15 +26,15 @@ ext_modules = []
 if not os.environ.get("WREATH_CENTERS_NO_EXT"):
     try:
         from Cython.Build import cythonize
-        ext_modules = cythonize(
-            [Extension(
-                "wreath_centers._speedups",
-                ["src/wreath_centers/_speedups.pyx"],
-                extra_compile_args=["-O3"],
-            )],
-            language_level=3,
-        )
     except ImportError:
-        print("warning: Cython not available; building without the compiled kernel")
+        # _speedups.c, generated by Cython from _speedups.pyx, is tracked,
+        # so a C compiler alone builds the same extension
+        cythonize = None
+    source = "_speedups.pyx" if cythonize else "_speedups.c"
+    ext_modules = [Extension("wreath_centers._speedups",
+                             ["src/wreath_centers/" + source],
+                             extra_compile_args=["-O3"])]
+    if cythonize:
+        ext_modules = cythonize(ext_modules, language_level=3)
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from . import _fallback
 from .errors import Overflow, SizeMismatch
-from .wreath import PartitionFamily
+from .wreath import PartitionFamily, cycle_kinds
 
 try:
     from . import _speedups
@@ -76,14 +76,10 @@ def _group_tables(G):
 
 
 def _kinds(fam):
-    seen = {}
-    for c, parts in fam.entries:
-        for p in parts:
-            seen[(p, c)] = seen.get((p, c), 0) + 1
-    items = sorted(seen.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-    lens = [p for (p, _), _ in items]
-    clss = [c for (_, c), _ in items]
-    cnts = [v for _, v in items]
+    kinds = cycle_kinds(fam)
+    lens = [length for (length, _), _ in kinds]
+    clss = [c for (_, c), _ in kinds]
+    cnts = [count for _, count in kinds]
     return lens, clss, cnts
 
 
@@ -109,5 +105,6 @@ def type_histogram(G, fam, z, side, backend=None):
             n, G.order, G.num_classes, side, flat, inv, cls_of,
             members, offsets, lens, clss, cnts, list(z.labels), list(z.perm))
     if name == "python":
-        return _fallback.type_histogram(G, fam, z, side)
+        # z w = z (w z) z^-1, so both sides have the types of w z
+        return _fallback.type_histogram(G, fam, z)
     raise ValueError("unknown backend %r" % (name,))

@@ -213,9 +213,8 @@ def enumerate_partial_class(lam, n, G):
     k = lam.size
     if k > n:
         raise SizeMismatch("|Lambda|=%d exceeds n=%d" % (k, n))
-    for sup in combinations(range(1, n + 1), k):
-        for omega, labels in iter_class(lam, sup, G):
-            yield GPartialPermutation(sup, omega, labels)
+    for sup, omega, labels in iter_class(lam, combinations(range(1, n + 1), k), G):
+        yield GPartialPermutation(sup, omega, labels)
 
 
 @lru_cache(maxsize=1024)

@@ -96,6 +96,19 @@ def _states_to_terms(states, kind):
     return out
 
 
+class BoundedCache(dict):
+    """A dict that forgets its oldest entry once it holds maxsize."""
+
+    def __init__(self, maxsize):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def __setitem__(self, key, value):
+        if key not in self and len(self) >= self.maxsize:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
+
+
 class CharacterCalculator:
     """Irreducible character values X^Lambda_Delta of G wr S_n.
 
@@ -107,8 +120,8 @@ class CharacterCalculator:
     def __init__(self, G, chars=None):
         self.G = G
         self.chars = chars if chars is not None else G.character_table()
-        self._expansions = {}
-        self._x_cache = {}
+        self._expansions = BoundedCache(4096)
+        self._x_cache = BoundedCache(4096)
 
     def expand_class_family(self, fam):
         """P_fam in the character-alphabet basis: {char family: coeff}."""

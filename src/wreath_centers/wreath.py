@@ -26,6 +26,7 @@ __all__ = [
     "families_up_to", "family_order",
     "w_multiply", "w_inverse", "cycle_product", "type_of", "class_order",
     "enumerate_class", "canonical_representative", "iter_class",
+    "cycle_kinds", "structures", "label_tables",
 ]
 
 
@@ -294,85 +295,136 @@ def class_order(fam: PartitionFamily, G: FiniteGroup):
     return z, total // z
 
 
-def _iter_structures(positions, specs):
-    """Cycle layouts: specs is a multiset of (length, class_id) covering positions."""
-    if not positions:
-        yield ()
-        return
-    leader = positions[0]
-    rest = positions[1:]
-    seen = set()
-    for i, spec in enumerate(specs):
-        if spec in seen:
-            continue
-        seen.add(spec)
-        length, cls = spec
-        remaining = specs[:i] + specs[i + 1:]
-        for tail in itertools.permutations(rest, length - 1):
-            cycle = (leader,) + tail
-            left = tuple(p for p in rest if p not in tail)
-            for more in _iter_structures(left, remaining):
-                yield ((cycle, cls),) + more
+def cycle_kinds(fam: PartitionFamily):
+    """[((length, class), count)] over the distinct cycles of fam, longest
+    first, then by class: the order in which the class stream offers
+    cycles to each leader."""
+    counts = {}
+    for c, lam in fam.entries:
+        for p in lam:
+            counts[p, c] = counts.get((p, c), 0) + 1
+    return sorted(counts.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
 
 
-def _iter_labelings(cycles, G: FiniteGroup):
-    """Label assignments making each cycle product land in its class."""
+def structures(kinds, k: int):
+    """Every cycle layout of the local positions 0..k-1 whose cycles carry
+    the (length, class) specs of cycle_kinds, each layout once.
+
+    A depth-first search: the smallest unused position leads the next
+    cycle, each distinct spec left is tried in turn, and the rest of the
+    cycle runs over the unused positions in lexicographic order. Once only
+    1-cycles of a single class are left, they are placed in one step.
+
+    Yields (perm, walk, placed) on shared state: perm[i] is the image of
+    i, walk lists the positions cycle by cycle in placement order and
+    placed the spec of each cycle. The lists change after each step, so
+    copy what must outlive it.
+    """
+    kinds = [list(kind) for kind in kinds]
+    perm = list(range(k))  # perm[q] == q while q is unplaced
+    walk = []
+    placed = []
+    state = (perm, walk, placed)
+
+    def settled():
+        """The specs of the fixed points left, if nothing else is left."""
+        live = [kind for kind in kinds if kind[1]]
+        if not live:
+            return []
+        if len(live) == 1 and live[0][0][0] == 1:
+            return [live[0][0]] * live[0][1]
+        return None
+
+    def place(rest):
+        # rest: the unplaced positions, ascending; rest[0] leads
+        leader, free = rest[0], rest[1:]
+        mark, pmark = len(walk), len(placed)
+        for kind in kinds:
+            if not kind[1]:
+                continue
+            spec = kind[0]
+            kind[1] -= 1
+            placed.append(spec)
+            ones = settled()
+            placed.extend(ones or ())
+            for tail in itertools.permutations(free, spec[0] - 1):
+                cycle = (leader,) + tail
+                for a, b in zip(cycle, tail + cycle[:1]):
+                    perm[a] = b
+                walk.extend(cycle)
+                left = [q for q in free if q not in tail]
+                if ones is None:
+                    yield from place(left)
+                else:
+                    walk.extend(left)
+                    yield state
+                del walk[mark:]
+                for q in cycle:
+                    perm[q] = q
+            del placed[pmark:]
+            kind[1] += 1
+
+    ones = settled()
+    if ones is None:
+        return place(range(k))
+    walk.extend(range(k))
+    placed.extend(ones)
+    return iter((state,))
+
+
+def label_tables(kinds, G: FiniteGroup):
+    """{(length, class): every label tuple, in walk order, of a cycle of
+    that length whose walk-order product lies in that class}.
+
+    The first length - 1 labels run over G in product order; for each,
+    the last label is solved once per member of the class, in the order
+    of G.classes.
+    """
     mul, inv = G.mul, G.inv
-    order = G.order
-
-    def gen(k, acc):
-        if k == len(cycles):
-            yield dict(acc)
-            return
-        positions, cls = cycles[k]
-        r = len(positions)
-        members = G.classes[cls]
-        for frees in itertools.product(range(order), repeat=r - 1):
+    tables = {}
+    for (length, cls), _ in kinds:
+        rows = []
+        for frees in itertools.product(range(G.order), repeat=length - 1):
             q = 0
             for g in frees:
                 q = mul[q][g]
             iq = inv[q]
-            base = acc + list(zip(positions, frees))
-            for t in members:
-                yield from gen(k + 1, base + [(positions[r - 1], mul[iq][t])])
-
-    yield from gen(0, [])
+            rows.extend(frees + (mul[iq][t],) for t in G.classes[cls])
+        tables[length, cls] = rows
+    return tables
 
 
-def iter_class(fam: PartitionFamily, positions, G: FiniteGroup):
-    """Yield (omega, labels) dicts over abstract positions, type = fam.
+def iter_class(fam: PartitionFamily, supports, G: FiniteGroup):
+    """Yield (support, omega, labels) for every element of type fam on
+    each support in turn; omega and labels are dicts over the support.
 
-    The same generator drives full wreath classes (positions = range(n))
-    and partial-permutation classes (positions = a support set).
+    The same generator drives full wreath classes (one support,
+    range(n)) and partial-permutation classes (every support of size
+    |fam|): per support, every cycle layout from structures, and within
+    it every choice of one row per cycle from label_tables. omega is
+    shared by all labelings of one layout.
     """
-    positions = tuple(sorted(positions))
-    if fam.size != len(positions):
-        raise SizeMismatch(f"family size {fam.size} != {len(positions)} positions")
-    specs = tuple(sorted(((p, c) for c, lam in fam.entries for p in lam),
-                         key=lambda s: (-s[0], s[1])))
-    for cycles in _iter_structures(positions, specs):
-        omega = {}
-        for cyc, _ in cycles:
-            for j, p in enumerate(cyc):
-                omega[p] = cyc[(j + 1) % len(cyc)]
-        for labels in _iter_labelings(cycles, G):
-            yield omega, labels
-
-
-def _iter_class_raw(fam: PartitionFamily, n: int, G: FiniteGroup):
-    """(labels, perm) tuples of the size-n class; fam must already be padded."""
-    for omega, labmap in iter_class(fam, range(n), G):
-        perm = tuple(omega[i] for i in range(n))
-        labels = tuple(labmap[i] for i in range(n))
-        yield labels, perm
+    kinds = cycle_kinds(fam)
+    tables = label_tables(kinds, G)
+    for support in supports:
+        support = tuple(sorted(support))
+        if fam.size != len(support):
+            raise SizeMismatch(f"family size {fam.size} != {len(support)} positions")
+        for perm, walk, placed in structures(kinds, len(support)):
+            order = [support[i] for i in walk]
+            omega = {support[i]: support[perm[i]] for i in walk}
+            for rows in itertools.product(*map(tables.__getitem__, placed)):
+                yield support, omega, dict(zip(order, itertools.chain.from_iterable(rows)))
 
 
 def enumerate_class(fam: PartitionFamily, n: int, G: FiniteGroup) -> Iterator[WreathElement]:
     """Stream the conjugacy class C_fam inside the size-n wreath product."""
     if fam.size != n:
         raise SizeMismatch(f"family size {fam.size} != n = {n}; pad first")
-    for labels, perm in _iter_class_raw(fam, n, G):
-        yield WreathElement(labels, perm)
+    rng = range(n)
+    for _, omega, labels in iter_class(fam, (rng,), G):
+        yield WreathElement(map(labels.__getitem__, rng),
+                            map(omega.__getitem__, rng))
 
 
 def canonical_representative(fam: PartitionFamily, n: int, G: FiniteGroup) -> WreathElement:

@@ -1,9 +1,12 @@
-"""Every functools cache in the package has a bound."""
+"""Every cache in the package has a bound: functools caches and the
+instance dicts of CharacterCalculator."""
 import importlib
 import inspect
 import pkgutil
 
 import wreath_centers
+from wreath_centers.shifted import BoundedCache, CharacterCalculator
+from wreath_centers.wreath import families_of_size
 
 
 def _cached_callables(mod):
@@ -31,3 +34,25 @@ def test_every_functools_cache_is_bounded():
                 unbounded.append("%s.%s" % (info.name, name))
     assert seen, "no functools cache found; the walk is broken"
     assert not unbounded, unbounded
+
+
+def test_calculator_caches_are_bounded(z3):
+    calc = CharacterCalculator(z3)
+    caches = {name: value for name, value in vars(calc).items()
+              if isinstance(value, dict)}
+    assert caches, "no instance dict found; the walk is broken"
+    for name, cache in caches.items():
+        assert isinstance(cache, BoundedCache), name
+        assert cache.maxsize == 4096, name
+
+
+def test_calculator_caches_evict_oldest(z2):
+    calc = CharacterCalculator(z2)
+    calc._expansions.maxsize = calc._x_cache.maxsize = 3
+    ref = CharacterCalculator(z2)
+    pairs = [(lam, delta) for lam in families_of_size(3, 2, "char")
+             for delta in families_of_size(3, 2)]
+    for lam, delta in pairs * 2:
+        assert calc.x_value(lam, delta) == ref.x_value(lam, delta)
+        assert len(calc._x_cache) <= 3 and len(calc._expansions) <= 3
+    assert list(calc._x_cache) == pairs[-3:]
