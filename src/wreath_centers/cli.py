@@ -9,8 +9,10 @@ Families are passed as JSON objects keyed by class id, e.g.
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -44,21 +46,16 @@ class UsageError(Exception):
     pass
 
 
-class RunConfig:
-    __slots__ = tuple(_DEFAULTS)
-
-    def __init__(self, **kw):
-        merged = dict(_DEFAULTS)
-        merged.update({k: v for k, v in kw.items() if v is not None})
-        for k, v in merged.items():
-            setattr(self, k, v)
-        if self.format not in _FORMATS:
-            raise UsageError(f"format must be one of {_FORMATS}")
-        for k in ("workers", "cap_class_size", "max_n", "max_total_size"):
-            if not isinstance(getattr(self, k), int) or getattr(self, k) < 1:
-                raise UsageError(f"{k} must be a positive integer")
-        if not 0 < self.tolerance <= 1e-3:
-            raise UsageError("tolerance must lie in (0, 1e-3]")
+def _count(text):
+    """type= of the count options: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {value}")
+    return value
 
 
 def _load_env_config():
@@ -80,8 +77,26 @@ def _load_env_config():
     return obj
 
 
-def _resolve(cfg):
-    spec = cfg.group
+def _fill_settings(args):
+    """Fill each setting the command line left out into args, first from
+    the WREATH_CENTERS_CONFIG file (where null means the default), then
+    from _DEFAULTS, and validate the settings once."""
+    env = _load_env_config()
+    for key, default in _DEFAULTS.items():
+        if not hasattr(args, key):
+            setattr(args, key, default if env.get(key) is None else env[key])
+    if args.format not in _FORMATS:
+        raise UsageError(f"format must be one of {_FORMATS}")
+    for k in ("workers", "cap_class_size", "max_n", "max_total_size"):
+        if not isinstance(getattr(args, k), int) or getattr(args, k) < 1:
+            raise UsageError(f"{k} must be a positive integer")
+    if (not isinstance(args.tolerance, (int, float))
+            or not 0 < args.tolerance <= 1e-3):
+        raise UsageError("tolerance must lie in (0, 1e-3]")
+    args.group_label = args.group if isinstance(args.group, str) else "file"
+
+
+def _resolve(spec):
     try:
         if isinstance(spec, dict):
             return group_from_json(spec)
@@ -161,7 +176,7 @@ def _fam_latex(fam):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_group_info(G, cfg, args):
+def cmd_group_info(G, args):
     chars = G.character_table()
     k = len(chars.rows)
     payload = {
@@ -179,12 +194,12 @@ def cmd_group_info(G, cfg, args):
         },
         "backend": BACKEND,
     }
-    if cfg.format == "csv":
+    if args.format == "csv":
         _emit_csv([(c["id"], c["size"], c["centralizer"],
                     " ".join(map(str, c["members"])))
                    for c in payload["classes"]],
                   ["class", "size", "centralizer", "members"])
-    elif cfg.format == "latex":
+    elif args.format == "latex":
         lines = [r"\begin{array}{c|%s}" % ("c" * k)]
         lines.append(" & ".join(
             [r"\chi"] + [f"c_{c}" for c in range(k)]) + r" \\ \hline")
@@ -205,21 +220,32 @@ def _cx_latex(v):
     return f"{v.real:.4g}{v.imag:+.4g}i"
 
 
-def _cap_listing(count, n, cfg):
+def _cap(weight, what, args):
+    """Refuse, before it starts, work that weighs more than
+    --cap-class-size; what says what weighs weight."""
+    if weight > args.cap_class_size:
+        raise err.CapExceeded(f"{what}, above the cap {args.cap_class_size}; "
+                              "raise --cap-class-size")
+
+
+def _cap_total(what, total, args):
+    """Refuse a pair of families of total size above max_total_size."""
+    if total > args.max_total_size:
+        raise err.CapExceeded(
+            f"{what}={total} exceeds max_total_size={args.max_total_size}")
+
+
+def _cap_listing(count, n, args):
     """classes and enumerate-partial list every family, each row weighing
     n; refuse a listing heavier than --cap-class-size before it starts."""
-    if count * max(n, 1) > cfg.cap_class_size:
-        raise err.CapExceeded(
-            f"the listing reaches {count} families of size up to {n}, "
-            f"weight {count * max(n, 1)}, above the cap "
-            f"{cfg.cap_class_size}; raise --cap-class-size")
+    weight = count * max(n, 1)
+    _cap(weight, f"the listing reaches {count} families of size up to {n}, "
+                 f"weight {weight}", args)
 
 
-def cmd_classes(G, cfg, args):
+def cmd_classes(G, args):
     n = args.n
-    if n > cfg.max_n:
-        raise err.CapExceeded(f"n={n} exceeds the configured max_n={cfg.max_n}")
-    _cap_listing(family_count(n, G.num_classes), n, cfg)
+    _cap_listing(family_count(n, G.num_classes), n, args)
     rows = []
     total = 0
     for fam in families_of_size(n, G.num_classes):
@@ -233,10 +259,10 @@ def cmd_classes(G, cfg, args):
                "classes": rows,
                "checksum": {"sum": total, "expected": expected,
                             "ok": total == expected}}
-    if cfg.format == "csv":
+    if args.format == "csv":
         _emit_csv([(r["family"], r["Z"], r["size"]) for r in rows],
                   ["family", "Z", "class_size"])
-    elif cfg.format == "latex":
+    elif args.format == "latex":
         lines = [r"\begin{array}{l|r|r}",
                  r"\Lambda & Z_\Lambda & |C_\Lambda| \\ \hline"]
         for r in rows:
@@ -249,15 +275,13 @@ def cmd_classes(G, cfg, args):
     return 0 if payload["checksum"]["ok"] else 1
 
 
-def cmd_ccoeff(G, cfg, args):
+def cmd_ccoeff(G, args):
     n = args.n
-    if n > cfg.max_n:
-        raise err.CapExceeded(f"n={n} exceeds the configured max_n={cfg.max_n}")
     # families below size n are padded with fixed identity-labeled
     # points, matching how class sums are written for stable n
     lam = _parse_family(args.lam, G, "lam").pad(n)
     delta = _parse_family(args.delta, G, "del").pad(n)
-    vec = product_classes(lam, delta, n, G, cap=cfg.cap_class_size)
+    vec = product_classes(lam, delta, n, G, cap=args.cap_class_size)
     mass = 0
     terms = []
     for gam, c in vec.items():
@@ -273,10 +297,10 @@ def cmd_ccoeff(G, cfg, args):
     if args.gam is not None:
         gam = _parse_family(args.gam, G, "gam").pad(n)
         payload["coeff"] = vec.coeff(gam)
-    if cfg.format == "csv":
+    if args.format == "csv":
         _emit_csv([(t["gamma"], t["coeff"]) for t in terms],
                   ["gamma", "coeff"])
-    elif cfg.format == "latex":
+    elif args.format == "latex":
         bits = [("%d \\, C_{%s}" % (t["coeff"],
                  _fam_latex(PartitionFamily.from_json(t["gamma"]))))
                 for t in terms]
@@ -289,26 +313,21 @@ def cmd_ccoeff(G, cfg, args):
     return 0 if payload["mass"]["ok"] else 1
 
 
-def _k_pair(G, cfg, args):
+def _k_pair(G, args):
     """--lam/--del of kcoeff and poly, refused before anything streams:
     k_vector streams the smaller class at N = |lam|+|del|."""
     lam = _parse_family(args.lam, G, "lam")
     delta = _parse_family(args.delta, G, "del")
     top = lam.size + delta.size
-    if top > cfg.max_total_size:
-        raise err.CapExceeded(
-            f"|lam|+|del|={top} exceeds max_total_size={cfg.max_total_size}")
+    _cap_total("|lam|+|del|", top, args)
     streamed = min(class_size_partial(lam, top, G),
                    class_size_partial(delta, top, G))
-    if streamed > cfg.cap_class_size:
-        raise err.CapExceeded(
-            f"streamed class has {streamed} elements, above the cap "
-            f"{cfg.cap_class_size}; raise --cap-class-size")
+    _cap(streamed, f"streamed class has {streamed} elements", args)
     return lam, delta
 
 
-def cmd_kcoeff(G, cfg, args):
-    lam, delta = _k_pair(G, cfg, args)
+def cmd_kcoeff(G, args):
+    lam, delta = _k_pair(G, args)
     gam = None if args.gam is None else _parse_family(args.gam, G, "gam")
     kvec = k_vector(lam, delta, G)
     payload = {"group": args.group_label,
@@ -319,11 +338,11 @@ def cmd_kcoeff(G, cfg, args):
     else:
         payload["kvec"] = [{"gamma": g.to_json(), "k": k}
                            for g, k in kvec.items()]
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = ([(payload["gamma"], payload["k"])] if args.gam is not None
                 else [(t["gamma"], t["k"]) for t in payload["kvec"]])
         _emit_csv(rows, ["gamma", "k"])
-    elif cfg.format == "latex":
+    elif args.format == "latex":
         if args.gam is not None:
             sys.stdout.write(
                 "k_{%s, %s}^{%s} = %d\n"
@@ -341,8 +360,8 @@ def cmd_kcoeff(G, cfg, args):
     return 0
 
 
-def cmd_poly(G, cfg, args):
-    lam, delta = _k_pair(G, cfg, args)
+def cmd_poly(G, args):
+    lam, delta = _k_pair(G, args)
     if args.gam is not None:
         polys = [structure_polynomial(
             lam, delta, _parse_family(args.gam, G, "gam"), G)]
@@ -351,14 +370,14 @@ def cmd_poly(G, cfg, args):
     payload = {"group": args.group_label,
                "lam": lam.to_json(), "del": delta.to_json(),
                "polynomials": [p.to_json() for p in polys]}
-    if cfg.format == "csv":
+    if args.format == "csv":
         _emit_csv([(p.gamma.to_json(), p.degree,
                     json.dumps({str(j): k for j, k in
                                 sorted(p.binom_coeffs.items())},
                                separators=(",", ":")),
                     p.latex()) for p in polys],
                   ["gamma", "degree", "binomial", "latex"])
-    elif cfg.format == "latex":
+    elif args.format == "latex":
         for p in polys:
             sys.stdout.write("c_{%s,%s}^{%s}(n) = %s\n"
                              % (_fam_latex(lam), _fam_latex(delta),
@@ -396,10 +415,8 @@ def _verify_pair(job):
     return checked, bad
 
 
-def cmd_verify_poly(G, cfg, args):
-    n_max = args.n if args.n is not None else 6
-    if n_max > cfg.max_n:
-        raise err.CapExceeded(f"n={n_max} exceeds max_n={cfg.max_n}")
+def cmd_verify_poly(G, args):
+    n_max = args.n
     if args.lam is not None or args.delta is not None or args.gam is not None:
         if not (args.lam and args.delta and args.gam):
             raise UsageError(
@@ -411,28 +428,25 @@ def cmd_verify_poly(G, cfg, args):
         lo = max(lam.size, delta.size, gam.size)
         report = verify_polynomiality(lam, delta, gam, G,
                                       range(lo, max(lo, n_max) + 1),
-                                      cap=cfg.cap_class_size)
+                                      cap=args.cap_class_size)
         payload = {"group": args.group_label, "mode": "single",
                    "polynomial": report["polynomial"],
                    "rows": report["rows"], "pass": report["all_match"]}
         ok = report["all_match"]
     else:
         size_cap = args.size_cap
-        if 2 * size_cap > cfg.max_total_size:
-            raise err.CapExceeded(
-                f"2*size_cap={2 * size_cap} exceeds "
-                f"max_total_size={cfg.max_total_size}")
+        _cap_total("2*size_cap", 2 * size_cap, args)
         proper = [f for f in families_up_to(size_cap, G.num_classes)
                   if f.is_proper()]
         pairs = [(a, b) for i, a in enumerate(proper) for b in proper[i:]]
         if args.samples is not None:
             pairs = pairs[:args.samples]
-        jobs = [(G.mul, a.to_json(), b.to_json(), n_max, cfg.cap_class_size)
+        jobs = [(G.mul, a.to_json(), b.to_json(), n_max, args.cap_class_size)
                 for a, b in pairs]
         checked = 0
         mismatches = []
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 for c, bad in pool.map(_verify_pair, jobs):
                     checked += c
                     mismatches.extend(bad)
@@ -446,7 +460,7 @@ def cmd_verify_poly(G, cfg, args):
                    "size_cap": size_cap, "n_max": n_max,
                    "pairs": len(pairs), "checked": checked,
                    "mismatches": mismatches, "pass": ok}
-    if cfg.format == "csv":
+    if args.format == "csv":
         if payload["mode"] == "single":
             _emit_csv([(r["n"], r["predicted"], r["direct"], r["match"])
                        for r in payload["rows"]],
@@ -456,7 +470,7 @@ def cmd_verify_poly(G, cfg, args):
                         m["predicted"], m["direct"])
                        for m in payload["mismatches"]],
                       ["lam", "del", "gamma", "n", "predicted", "direct"])
-    elif cfg.format == "latex":
+    elif args.format == "latex":
         sys.stdout.write("\\text{%s}\n"
                          % ("all checks passed" if ok else "MISMATCH"))
     else:
@@ -464,22 +478,64 @@ def cmd_verify_poly(G, cfg, args):
     return 0 if ok else 1
 
 
-def cmd_verify_iso(G, cfg, args):
-    if 2 * args.size_cap > cfg.max_total_size:
-        raise err.CapExceeded(
-            f"2*size_cap={2 * args.size_cap} exceeds "
-            f"max_total_size={cfg.max_total_size}")
+def _iso_checks(G, args):
+    """How many checks verify_theorem71 makes, counted in closed form
+    with --samples applied: one chain check per (delta, point) and one
+    homomorphism check per (pair of proper families, point), a pair of
+    total size s taking at most --point-cap points of size up to
+    min(s + 1, --point-size)."""
+    k = G.num_classes
+    left = math.inf if args.samples is None else args.samples
+
+    def upto(size):
+        return sum(family_count(m, k) for m in range(size + 1))
+
+    def points(size):
+        return min(args.point_cap, upto(min(size + 1, args.point_size)))
+
+    checks = min(upto(args.size_cap), left) * upto(args.point_size)
+    # proper families of each size: no 1-parts at the identity class
+    proper = [sum((family_count(j, 1) - family_count(j - 1, 1))
+                  * family_count(m - j, k - 1) for j in range(m + 1))
+              for m in range(args.size_cap + 1)]
+    # pairs (a, b), b at or after a, a in order: a runs through size m,
+    # b through the rest of size m and then every larger size
+    for m, c in enumerate(proper):
+        runs = [(proper[m2], points(m + m2))
+                for m2 in range(m + 1, len(proper))]
+        same = c * (c + 1) // 2
+        block = same + c * sum(n for n, _ in runs)
+        if block <= left:
+            checks += same * points(2 * m) + c * sum(n * w for n, w in runs)
+            left -= block
+        else:
+            # --samples ends among these pairs: count them a by a
+            for r in range(c):
+                for n, w in [(c - r, points(2 * m))] + runs:
+                    take = min(n, left)
+                    checks += take * w
+                    left -= take
+            break
+    return checks
+
+
+def cmd_verify_iso(G, args):
+    _cap_total("2*size_cap", 2 * args.size_cap, args)
+    checks = _iso_checks(G, args)
+    weight = checks * max(args.point_size, 1)
+    _cap(weight, f"verify-iso makes {checks} checks at points of size up "
+                 f"to {args.point_size}, weight {weight}", args)
     rows = verify_theorem71(G, size_cap=args.size_cap, samples=args.samples,
                             point_size=args.point_size,
-                            point_cap=args.point_cap, tol=cfg.tolerance)
+                            point_cap=args.point_cap, tol=args.tolerance)
     ok = all(r["pass"] for r in rows)
     npass = sum(1 for r in rows if r["pass"])
     sys.stderr.write(f"{npass}/{len(rows)} checks passed\n")
-    if cfg.format == "csv":
+    if args.format == "csv":
         _emit_csv([(r["check"], r["input"], r["lhs"], r["rhs"],
                     r["pass"], r["abs_err"]) for r in rows],
                   ["check", "input", "lhs", "rhs", "pass", "abs_err"])
-    elif cfg.format == "latex":
+    elif args.format == "latex":
         sys.stdout.write("\\text{%d/%d evaluation checks passed}\n"
                          % (npass, len(rows)))
     else:
@@ -487,17 +543,12 @@ def cmd_verify_iso(G, cfg, args):
     return 0 if ok else 1
 
 
-def cmd_enumerate_partial(G, cfg, args):
+def cmd_enumerate_partial(G, args):
     n = args.n
-    if n > cfg.max_n:
-        raise err.CapExceeded(f"n={n} exceeds max_n={cfg.max_n}")
     if args.lam is not None:
         lam = _parse_family(args.lam, G, "lam")
         expected = class_size_partial(lam, n, G)
-        if expected > cfg.cap_class_size:
-            raise err.CapExceeded(
-                f"class has {expected} elements, above the cap "
-                f"{cfg.cap_class_size}; raise --cap-class-size")
+        _cap(expected, f"class has {expected} elements", args)
         elems = list(enumerate_partial_class(lam, n, G))
         payload = {"group": args.group_label, "n": n,
                    "family": lam.to_json(),
@@ -514,7 +565,7 @@ def cmd_enumerate_partial(G, cfg, args):
         count = 0
         for size in range(n + 1):
             count += family_count(size, G.num_classes)
-            _cap_listing(count, n, cfg)
+            _cap_listing(count, n, args)
         fams = []
         total = 0
         for fam in families_up_to(n, G.num_classes):
@@ -527,9 +578,9 @@ def cmd_enumerate_partial(G, cfg, args):
                    "ok": total == formula, "families": fams}
         rows = [(f["family"], f["count"]) for f in fams]
         header = ["family", "count"]
-    if cfg.format == "csv":
+    if args.format == "csv":
         _emit_csv(rows, header)
-    elif cfg.format == "latex":
+    elif args.format == "latex":
         sys.stdout.write("|\\mathfrak{P}^G_{%d}| = %d\n"
                          % (n, payload.get("total",
                                            payload.get("count", 0))))
@@ -540,113 +591,106 @@ def cmd_enumerate_partial(G, cfg, args):
 
 # ---------------------------------------------------------------- driver
 
-def _add_common(parser, suppress):
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--group", default=d,
+_EXIT_CODES = (
+    (UsageError, 2),
+    (err.NotProper, 3),
+    ((err.SizeMismatch, err.PadTooSmall, err.SupportExceedsN), 4),
+    ((err.CapExceeded, err.GuardrailExceeded), 5),
+    (err.WreathCentersError, 6),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def build_parser():
+    """The parser, built on the first call and then reused.  The global
+    options are declared once, on a parent every parser shares, and
+    default to absent, so they are accepted before and after the
+    subcommand and _fill_settings sees which ones the command line set."""
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--group",
                         help="builtin spec (trivial, cyclic:k, sym:k, "
                              "dihedral:k) or path to a JSON table file")
-    parser.add_argument("--format", default=d, choices=_FORMATS)
-    parser.add_argument("--seed", type=int, default=d)
-    parser.add_argument("--workers", type=int, default=d)
-    parser.add_argument("--cap-class-size", type=int, default=d,
-                        dest="cap_class_size")
-    parser.add_argument("--tolerance", type=float, default=d)
+    common.add_argument("--format", choices=_FORMATS)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--workers", type=int)
+    common.add_argument("--cap-class-size", type=int)
+    common.add_argument("--tolerance", type=float)
 
-
-def build_parser():
     p = argparse.ArgumentParser(
         prog="wreath-centers",
         description="Exact structure constants for centers of wreath "
-                    "product group algebras.")
-    _add_common(p, suppress=False)
+                    "product group algebras.",
+        parents=[common])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
-        _add_common(sp, suppress=True)
+    def add(name, fn, help):
+        sp = sub.add_parser(name, parents=[common], help=help)
         sp.set_defaults(fn=fn)
         return sp
 
-    add("group-info", cmd_group_info,
-        help="order, classes, character table")
+    def add_families(sp, required):
+        sp.add_argument("--lam", required=required)
+        sp.add_argument("--del", dest="delta", required=required)
+        sp.add_argument("--gam")
 
-    sp = add("classes", cmd_classes, help="conjugacy classes of G wr S_n")
-    sp.add_argument("--n", type=int, required=True)
+    add("group-info", cmd_group_info, "order, classes, character table")
+
+    sp = add("classes", cmd_classes, "conjugacy classes of G wr S_n")
+    sp.add_argument("--n", type=_count, required=True)
 
     sp = add("ccoeff", cmd_ccoeff,
-             help="expand a product of class sums in Z(C[G wr S_n])")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lam", required=True)
-    sp.add_argument("--del", dest="delta", required=True)
-    sp.add_argument("--gam")
+             "expand a product of class sums in Z(C[G wr S_n])")
+    sp.add_argument("--n", type=_count, required=True)
+    add_families(sp, required=True)
 
-    sp = add("kcoeff", cmd_kcoeff,
-             help="n-independent structure constants of the partial "
-                  "permutation algebra")
-    sp.add_argument("--lam", required=True)
-    sp.add_argument("--del", dest="delta", required=True)
-    sp.add_argument("--gam")
+    add_families(add("kcoeff", cmd_kcoeff,
+                     "n-independent structure constants of the partial "
+                     "permutation algebra"), required=True)
 
-    sp = add("poly", cmd_poly,
-             help="structure coefficients as polynomials in n")
-    sp.add_argument("--lam", required=True)
-    sp.add_argument("--del", dest="delta", required=True)
-    sp.add_argument("--gam")
+    add_families(add("poly", cmd_poly,
+                     "structure coefficients as polynomials in n"),
+                 required=True)
 
     sp = add("verify-poly", cmd_verify_poly,
-             help="check predicted polynomials against direct center "
-                  "computations")
-    sp.add_argument("--lam")
-    sp.add_argument("--del", dest="delta")
-    sp.add_argument("--gam")
-    sp.add_argument("--n", type=int, help="largest n to check (default 6)")
-    sp.add_argument("--size-cap", type=int, default=3, dest="size_cap")
-    sp.add_argument("--samples", type=int)
+             "check predicted polynomials against direct center "
+             "computations")
+    add_families(sp, required=False)
+    sp.add_argument("--n", type=_count, default=6,
+                    help="largest n to check (default 6)")
+    sp.add_argument("--size-cap", type=_count, default=3)
+    sp.add_argument("--samples", type=_count)
 
     sp = add("verify-iso", cmd_verify_iso,
-             help="pointwise checks of the shifted symmetric function "
-                  "isomorphism")
-    sp.add_argument("--size-cap", type=int, default=2, dest="size_cap")
-    sp.add_argument("--point-size", type=int, default=7, dest="point_size")
-    sp.add_argument("--point-cap", type=int, default=200, dest="point_cap")
-    sp.add_argument("--samples", type=int)
+             "pointwise checks of the shifted symmetric function "
+             "isomorphism")
+    sp.add_argument("--size-cap", type=_count, default=2)
+    sp.add_argument("--point-size", type=_count, default=7)
+    sp.add_argument("--point-cap", type=_count, default=200)
+    sp.add_argument("--samples", type=_count)
 
     sp = add("enumerate-partial", cmd_enumerate_partial,
-             help="G-labeled partial permutations of [n] by type")
-    sp.add_argument("--n", type=int, required=True)
+             "G-labeled partial permutations of [n] by type")
+    sp.add_argument("--n", type=_count, required=True)
     sp.add_argument("--lam")
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        env = _load_env_config()
-        flags = {k: getattr(args, k, None) for k in _DEFAULTS}
-        merged = dict(env)
-        merged.update({k: v for k, v in flags.items() if v is not None})
-        cfg = RunConfig(**merged)
-        args.group_label = cfg.group if isinstance(cfg.group, str) else "file"
-        args.group = cfg.group
-        G = _resolve(cfg)
-        return args.fn(G, cfg, args)
-    except UsageError as exc:
+        _fill_settings(args)
+        G = _resolve(args.group)
+        n = getattr(args, "n", None)
+        if n is not None and n > args.max_n:
+            raise err.CapExceeded(
+                f"n={n} exceeds the configured max_n={args.max_n}")
+        return args.fn(G, args)
+    except (UsageError, err.WreathCentersError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except err.NotProper as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (err.SizeMismatch, err.PadTooSmall, err.SupportExceedsN) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except (err.CapExceeded, err.GuardrailExceeded) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 5
-    except err.WreathCentersError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 6
+        return next(code for kinds, code in _EXIT_CODES
+                    if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ class UnsupportedSpec(WreathCentersError):
 
 
 class DiagonalizationFailed(WreathCentersError):
-    """Character table eigensolve did not separate after retries."""
+    """No character table: Dixon's split of the class matrices did not
+    end in k lines, or a given "characters" matrix is not G's table."""
 
 
 class PadTooSmall(WreathCentersError):

@@ -117,9 +117,9 @@ class CharacterCalculator:
     against s_{Lambda(gamma)} giving a symmetric-group character.
     """
 
-    def __init__(self, G, chars=None):
+    def __init__(self, G):
         self.G = G
-        self.chars = chars if chars is not None else G.character_table()
+        self.chars = G.character_table()
         self._expansions = BoundedCache(4096)
         self._x_cache = BoundedCache(4096)
 
@@ -240,8 +240,8 @@ def image_eval(delta, point, G, calc=None):
     return float(factor) * total
 
 
-def verify_theorem71(G, chars=None, size_cap=2, samples=None,
-                     point_size=7, point_cap=200, tol=1e-6):
+def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
+                     point_cap=200, tol=1e-6):
     """Pointwise checks of the isomorphism; returns a list of rows
     {"check", "input", "lhs", "rhs", "pass", "abs_err"}.
 
@@ -257,7 +257,7 @@ def verify_theorem71(G, chars=None, size_cap=2, samples=None,
     exact Fractions for |G| = 1 and complex floats, compared within
     tol, otherwise.
     """
-    calc = CharacterCalculator(G, chars) if chars is not None else get_calculator(G)
+    calc = get_calculator(G)
     ncls = G.num_classes
     nchars = len(calc.chars.rows)
     exact = G.order == 1

@@ -1,4 +1,5 @@
 """Command line interface, exercised through subprocesses."""
+import argparse
 import json
 import os
 import shlex
@@ -175,6 +176,22 @@ def test_exit_usage_errors():
                "--lam", '{"9": [1]}', "--del", "{}").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "cyclic:2", "classes", "--n", "-1"],
+    ["--group", "cyclic:2", "enumerate-partial", "--n", "-2"],
+    ["--group", "cyclic:2", "verify-poly", "--size-cap", "2", "--n", "4",
+     "--samples", "-3"],
+    ["--group", "cyclic:2", "verify-iso", "--point-cap", "-1"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    """A negative count is refused by the parser, not run with a wrong
+    checksum or silently fewer checks."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_exit_not_proper():
     r = run("--group", "cyclic:2", "poly",
             "--lam", '{"0": [1]}', "--del", '{"1": [1]}')
@@ -219,6 +236,19 @@ def test_listing_cap_weighs_each_family_by_n(monkeypatch, capsys):
     monkeypatch.setattr(cli, "families_of_size", refuse)
     assert main(["--group", "trivial", "classes", "--n", "70"]) == 5
     assert "4087968" in capsys.readouterr().err
+
+
+def test_verify_iso_cap_weighs_each_check_by_point_size(monkeypatch, capsys):
+    """cyclic:3 verify-iso --size-cap 1 --point-size 16 would make 584,515
+    checks, each at points of size up to 16: weight 9,352,240, above the
+    default cap, so it is refused before any check runs."""
+    def refuse(*args, **kw):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "verify_theorem71", refuse)
+    assert main(["--group", "cyclic:3", "verify-iso", "--size-cap", "1",
+                 "--point-size", "16"]) == 5
+    assert "9352240" in capsys.readouterr().err
 
 
 def test_k_path_cap_checked_before_streaming():
@@ -271,9 +301,51 @@ def test_env_config_and_override(tmp_path):
              env_extra={"WREATH_CENTERS_CONFIG": str(cfg)})
     assert json.loads(r2.stdout)["order"] == 2
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"grup": "cyclic:3"}))
-    assert run("group-info",
-               env_extra={"WREATH_CENTERS_CONFIG": str(bad)}).returncode == 2
+    for obj in ({"grup": "cyclic:3"}, {"tolerance": "1e-6"}):
+        bad.write_text(json.dumps(obj))
+        assert run("group-info",
+                   env_extra={"WREATH_CENTERS_CONFIG": str(bad)}).returncode == 2
+
+
+def test_parser_built_once_and_reused(monkeypatch, capsys, tmp_path):
+    """Repeated in-process calls reuse the one parser and answer as a
+    fresh process does, whether global options come before or after the
+    subcommand, a config file is set or not, or a call is a usage error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "cyclic:3", "format": "csv"}))
+    calls = [
+        (["--group", "cyclic:2", "classes", "--n", "2"], None),
+        (["classes", "--n", "2", "--group", "cyclic:2"], None),
+        (["group-info"], cfg),
+        (["--format", "json", "group-info"], cfg),
+        (["--group", "cyclic:2", "classes", "--n", "-1"], None),
+        (["kcoeff", "--group", "cyclic:2", "--format", "latex",
+          "--lam", '{"1": [1]}', "--del", '{"1": [1]}'], cfg),
+        (["--group", "cyclic:2", "enumerate-partial", "--n", "2"], None),
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for i, (argv, config) in enumerate(calls):
+        if config is None:
+            monkeypatch.delenv("WREATH_CENTERS_CONFIG", raising=False)
+        else:
+            monkeypatch.setenv("WREATH_CENTERS_CONFIG", str(config))
+        before = len(built)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr().out
+        fresh = run(*argv)
+        assert (out, rc) == (fresh.stdout, fresh.returncode), argv
+        assert (len(built) > before) == (i == 0), argv
 
 
 def test_verify_iso_output_shape():
