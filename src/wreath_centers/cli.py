@@ -2,7 +2,8 @@
 
 Every computation is reachable as a subcommand with machine-readable
 output; JSON output is deterministic byte-for-byte for identical
-inputs (fixed key order, floats rounded to 12 significant digits).
+inputs: fixed key order, and floats rounded to 12 significant digits by
+the code that builds each payload, which holds only JSON-native values.
 Families are passed as JSON objects keyed by class id, e.g.
 '{"0": [2], "1": [1, 1]}'; run group-info to see the class ids.
 """
@@ -16,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
+from itertools import accumulate
 
 from . import errors as err
 from .center import DEFAULT_CLASS_CAP, product_classes
@@ -134,24 +135,14 @@ def _parse_family(text, G, what):
     return PartitionFamily(items)
 
 
-def _clean(obj):
-    # fixed-precision floats and stringified rationals keep repeated
-    # runs byte-identical
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, complex):
-        return [float(f"{obj.real:.12g}"), float(f"{obj.imag:.12g}")]
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
+def _g12(x):
+    """x rounded to 12 significant digits, so that float noise below
+    them does not reach the output."""
+    return float(f"{x:.12g}")
 
 
 def _emit_json(payload):
-    sys.stdout.write(json.dumps(_clean(payload), indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_csv(rows, header):
@@ -159,7 +150,7 @@ def _emit_csv(rows, header):
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
-        w.writerow([json.dumps(_clean(v), separators=(",", ":"))
+        w.writerow([json.dumps(v, separators=(",", ":"))
                     if isinstance(v, (dict, list)) else v for v in row])
     sys.stdout.write(buf.getvalue())
 
@@ -189,8 +180,9 @@ def cmd_group_info(G, args):
         ],
         "characters": {
             "degrees": list(chars.degrees),
-            "rows": [[v for v in row] for row in chars.rows],
-            "orthogonality_residual": chars.residual,
+            "rows": [[[_g12(v.real), _g12(v.imag)] for v in row]
+                     for row in chars.rows],
+            "orthogonality_residual": _g12(chars.residual),
         },
         "backend": BACKEND,
     }
@@ -387,6 +379,13 @@ def cmd_poly(G, args):
     return 0
 
 
+@functools.lru_cache(maxsize=16)
+def _proper_targets(top, ncls):
+    """Every proper family of size up to top over ncls classes, in
+    families_up_to order; the pairs of a sweep share them by total size."""
+    return tuple(g for g in families_up_to(top, ncls) if g.is_proper())
+
+
 def _verify_pair(job):
     # worker-side: rebuild the group from its table, sweep one pair
     mul, lam_json, del_json, n_max, cap = job
@@ -395,8 +394,7 @@ def _verify_pair(job):
     delta = PartitionFamily.from_json(del_json)
     # every proper target, zeros included, so a polynomial missing
     # from structure_polynomials shows up as a mismatch
-    gams = [g for g in families_up_to(lam.size + delta.size, G.num_classes)
-            if g.is_proper()]
+    gams = _proper_targets(lam.size + delta.size, G.num_classes)
     polys = structure_polynomials(lam, delta, G)
     checked = 0
     bad = []
@@ -436,6 +434,10 @@ def cmd_verify_poly(G, args):
     else:
         size_cap = args.size_cap
         _cap_total("2*size_cap", 2 * size_cap, args)
+        checks = _poly_checks(G, args)
+        weight = checks * max(n_max, 1)
+        _cap(weight, f"verify-poly makes {checks} checks at n up to "
+                     f"{n_max}, weight {weight}", args)
         proper = [f for f in families_up_to(size_cap, G.num_classes)
                   if f.is_proper()]
         pairs = [(a, b) for i, a in enumerate(proper) for b in proper[i:]]
@@ -478,6 +480,57 @@ def cmd_verify_poly(G, args):
     return 0 if ok else 1
 
 
+def _proper_counts(k, size_cap):
+    """How many proper families (no 1-parts at the identity class) of
+    each size 0..size_cap there are over k classes."""
+    return [sum((family_count(j, 1) - family_count(j - 1, 1))
+                * family_count(m - j, k - 1) for j in range(m + 1))
+            for m in range(size_cap + 1)]
+
+
+def _sweep_checks(proper, samples, weight):
+    """Sum of weight(|a|, |b|) over the pairs (a, b) of proper families
+    a sweep visits, b at or after a, with --samples applied; proper
+    holds the family counts of _proper_counts.  In sweep order a runs
+    through size m, and b through the rest of size m and then every
+    larger size."""
+    left = math.inf if samples is None else samples
+    checks = 0
+    for m, c in enumerate(proper):
+        runs = [(proper[m2], weight(m, m2))
+                for m2 in range(m + 1, len(proper))]
+        same = c * (c + 1) // 2
+        block = same + c * sum(n for n, _ in runs)
+        if block <= left:
+            checks += same * weight(m, m) + c * sum(n * w for n, w in runs)
+            left -= block
+        else:
+            # --samples ends among these pairs: count them a by a
+            for r in range(c):
+                for n, w in [(c - r, weight(m, m))] + runs:
+                    take = min(n, left)
+                    checks += take * w
+                    left -= take
+                if not left:
+                    break
+            break
+    return checks
+
+
+def _poly_checks(G, args):
+    """How many checks a verify-poly sweep makes, counted in closed
+    form: a pair of sizes m <= m2 checks, at each n from m2 to --n,
+    every proper family of size up to min(n, m + m2)."""
+    k = G.num_classes
+    proper = _proper_counts(k, 2 * args.size_cap)
+    upto = list(accumulate(proper))
+
+    def weight(m, m2):
+        return sum(upto[min(n, m + m2)] for n in range(m2, args.n + 1))
+
+    return _sweep_checks(proper[:args.size_cap + 1], args.samples, weight)
+
+
 def _iso_checks(G, args):
     """How many checks verify_theorem71 makes, counted in closed form
     with --samples applied: one chain check per (delta, point) and one
@@ -485,38 +538,19 @@ def _iso_checks(G, args):
     total size s taking at most --point-cap points of size up to
     min(s + 1, --point-size)."""
     k = G.num_classes
-    left = math.inf if args.samples is None else args.samples
 
     def upto(size):
         return sum(family_count(m, k) for m in range(size + 1))
 
-    def points(size):
-        return min(args.point_cap, upto(min(size + 1, args.point_size)))
+    def points(m, m2):
+        return min(args.point_cap, upto(min(m + m2 + 1, args.point_size)))
 
-    checks = min(upto(args.size_cap), left) * upto(args.point_size)
-    # proper families of each size: no 1-parts at the identity class
-    proper = [sum((family_count(j, 1) - family_count(j - 1, 1))
-                  * family_count(m - j, k - 1) for j in range(m + 1))
-              for m in range(args.size_cap + 1)]
-    # pairs (a, b), b at or after a, a in order: a runs through size m,
-    # b through the rest of size m and then every larger size
-    for m, c in enumerate(proper):
-        runs = [(proper[m2], points(m + m2))
-                for m2 in range(m + 1, len(proper))]
-        same = c * (c + 1) // 2
-        block = same + c * sum(n for n, _ in runs)
-        if block <= left:
-            checks += same * points(2 * m) + c * sum(n * w for n, w in runs)
-            left -= block
-        else:
-            # --samples ends among these pairs: count them a by a
-            for r in range(c):
-                for n, w in [(c - r, points(2 * m))] + runs:
-                    take = min(n, left)
-                    checks += take * w
-                    left -= take
-            break
-    return checks
+    chain = upto(args.size_cap)
+    if args.samples is not None:
+        chain = min(chain, args.samples)
+    return (chain * upto(args.point_size)
+            + _sweep_checks(_proper_counts(k, args.size_cap), args.samples,
+                            points))
 
 
 def cmd_verify_iso(G, args):
@@ -539,6 +573,9 @@ def cmd_verify_iso(G, args):
         sys.stdout.write("\\text{%d/%d evaluation checks passed}\n"
                          % (npass, len(rows)))
     else:
+        # rounded here, not in the rows: the CSV form prints it unrounded
+        for r in rows:
+            r["abs_err"] = _g12(r["abs_err"])
         _emit_json(rows)
     return 0 if ok else 1
 

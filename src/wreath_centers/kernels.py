@@ -53,6 +53,7 @@ def encode_type_key(fam, n, ncls):
 
 
 def decode_type_key(key, n, ncls):
+    """The family of total size n that encode_type_key packed into key."""
     width = n + 1
     entries = []
     for c in range(ncls):
@@ -61,7 +62,7 @@ def decode_type_key(key, n, ncls):
             parts.extend([length] * key[c * width + length])
         if parts:
             entries.append((c, tuple(parts)))
-    return PartitionFamily(entries, kind="class")
+    return PartitionFamily._of(tuple(entries), "class", n)
 
 
 @lru_cache(maxsize=32)

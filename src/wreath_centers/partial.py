@@ -58,14 +58,24 @@ class GPartialPermutation:
             raise ValueError("omega is not a bijection of the support")
         if set(labels) != set(support):
             raise ValueError("labels must be defined exactly on the support")
+        self._set(support, omega, labels)
+
+    @classmethod
+    def _of(cls, support, omega, labels):
+        """Trusted constructor for elements the package builds itself:
+        support a sorted tuple of distinct positive ints, omega a
+        bijection of it and labels defined exactly on it.  The dicts are
+        kept, not copied; nothing may change them afterwards."""
+        x = cls.__new__(cls)
+        x._set(support, omega, labels)
+        return x
+
+    def _set(self, support, omega, labels):
         self.support = support
         self.omega = omega
         self.labels = labels
-        self._key = (
-            support,
-            tuple(omega[i] for i in support),
-            tuple(labels[i] for i in support),
-        )
+        self._key = (support, tuple(map(omega.__getitem__, support)),
+                     tuple(map(labels.__getitem__, support)))
 
     def __eq__(self, other):
         if not isinstance(other, GPartialPermutation):
@@ -113,7 +123,7 @@ def pp_multiply(x, y, G):
     label_i = xlab(omega_y^{-1}(i)) * ylab(i).
     """
     mul = G.mul
-    union = sorted(set(x.support) | set(y.support))
+    union = tuple(sorted(set(x.support) | set(y.support)))
     xo, yo = x.omega, y.omega
     xl, yl = x.labels, y.labels
     yo_inv = {v: k for k, v in yo.items()}
@@ -124,7 +134,7 @@ def pp_multiply(x, y, G):
         omega[i] = yo.get(t, t)
         j = yo_inv.get(i, i)
         labels[i] = mul[xl.get(j, 0)][yl.get(i, 0)]
-    return GPartialPermutation(union, omega, labels)
+    return GPartialPermutation._of(union, omega, labels)
 
 
 def pp_type(x, G):
@@ -147,9 +157,11 @@ def pp_type(x, G):
             length += 1
             j = omega[j]
         buckets.setdefault(G.class_of[acc], []).append(length)
-    return PartitionFamily(
-        ((c, tuple(sorted(parts, reverse=True))) for c, parts in buckets.items()),
-        kind="class",
+    return PartitionFamily._of(
+        tuple(sorted((c, tuple(sorted(parts, reverse=True)))
+                     for c, parts in buckets.items())),
+        "class",
+        len(x.support),
     )
 
 
@@ -214,7 +226,7 @@ def enumerate_partial_class(lam, n, G):
     if k > n:
         raise SizeMismatch("|Lambda|=%d exceeds n=%d" % (k, n))
     for sup, omega, labels in iter_class(lam, combinations(range(1, n + 1), k), G):
-        yield GPartialPermutation(sup, omega, labels)
+        yield GPartialPermutation._of(sup, omega, labels)
 
 
 @lru_cache(maxsize=1024)
@@ -222,10 +234,10 @@ def canonical_partial_representative(fam, G):
     """Deterministic element of C_{fam;|fam|} with support {1..|fam|}."""
     k = fam.size
     w = canonical_representative(fam, k, G)
-    support = range(1, k + 1)
+    support = tuple(range(1, k + 1))
     omega = {i + 1: w.perm[i] + 1 for i in range(k)}
     labels = {i + 1: w.labels[i] for i in range(k)}
-    return GPartialPermutation(support, omega, labels)
+    return GPartialPermutation._of(support, omega, labels)
 
 
 def proj(comb_map, n):

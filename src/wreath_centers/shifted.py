@@ -10,15 +10,17 @@ evaluations use the falling-factorial formulas.  No symmetric function
 is ever materialized as a polynomial.
 """
 
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, perm
 
 from .errors import SizeMismatch
 from .partitions import dim_partition, mn_character, skew_count
 from .partitions import union as part_union
 from .universal import k_vector
-from .wreath import PartitionFamily, class_order, families_up_to
+from .wreath import PartitionFamily, class_order, families_up_to, family_count
 
 __all__ = [
     "CharacterCalculator",
@@ -96,8 +98,9 @@ def _states_to_terms(states, kind):
     return out
 
 
-class BoundedCache(dict):
-    """A dict that forgets its oldest entry once it holds maxsize."""
+class BoundedCache(OrderedDict):
+    """A dict that forgets its oldest entry, in O(1), once it holds
+    maxsize."""
 
     def __init__(self, maxsize):
         super().__init__()
@@ -105,7 +108,7 @@ class BoundedCache(dict):
 
     def __setitem__(self, key, value):
         if key not in self and len(self) >= self.maxsize:
-            del self[next(iter(self))]
+            self.popitem(last=False)
         super().__setitem__(key, value)
 
 
@@ -212,11 +215,13 @@ def p_sharp_family_eval(delta, point):
     return out
 
 
-def image_eval(delta, point, G, calc=None):
+def image_eval(delta, point, G, calc=None, terms=None):
     """Image of C_{delta;inf} under the isomorphism, evaluated at a
     character-indexed family of partitions: (|G|^{|delta|} / Z_delta)
     times P#_delta at the point.  Exact for |G| = 1, where the one class
-    alphabet is the one character alphabet."""
+    alphabet is the one character alphabet.  terms, a dict, memoizes the
+    value of each expansion term at the point across calls; the images
+    of different delta share many terms."""
     factor = Fraction(G.order ** delta.size, class_order(delta, G)[0])
     if G.order == 1:
         return factor * p_sharp_family_eval(delta, point)
@@ -230,14 +235,26 @@ def image_eval(delta, point, G, calc=None):
     # conjugates).  dim Lambda carries (dim gamma)^|Lambda(gamma)|, so
     # each term is divided by (dim gamma)^|mu(gamma)|, once per box.
     degrees = calc.chars.degrees
+    if terms is None:
+        terms = {}
     total = 0.0 + 0.0j
     for mfam, c in calc.expand_class_family(delta).items():
-        val = p_sharp_family_eval(mfam, point)
+        val = terms.get((mfam, point))
+        if val is None:
+            val = terms[mfam, point] = _term_value(mfam, point, degrees)
         if val:
-            for g, parts in mfam.entries:
-                val /= degrees[g] ** sum(parts)
-            total += complex(c).conjugate() * float(val)
+            total += complex(c).conjugate() * val
     return float(factor) * total
+
+
+def _term_value(mfam, point, degrees):
+    """float(p#_mfam(point) / prod_gamma (dim gamma)^{|mfam(gamma)|})."""
+    val = p_sharp_family_eval(mfam, point)
+    if val:
+        for g, parts in mfam.entries:
+            if degrees[g] != 1:
+                val /= degrees[g] ** sum(parts)
+    return float(val)
 
 
 def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
@@ -253,7 +270,8 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
         universal coefficients and applying the map term-wise matches
         the product of the images at character-indexed points.
 
-    Each (delta, point) image is evaluated once per call.  Values are
+    Each (delta, point) image, and each term of the character-alphabet
+    expansions at each point, is evaluated once per call.  Values are
     exact Fractions for |G| = 1 and complex floats, compared within
     tol, otherwise.
     """
@@ -262,12 +280,13 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     nchars = len(calc.chars.rows)
     exact = G.order == 1
     images = {}
+    terms = {}
     rows = []
 
     def image(fam, pt):
         hit = images.get((fam, pt))
         if hit is None:
-            hit = images[(fam, pt)] = image_eval(fam, pt, G, calc)
+            hit = images[(fam, pt)] = image_eval(fam, pt, G, calc, terms)
         return hit
 
     def row(check, inp, lhs, rhs):
@@ -285,6 +304,9 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     if samples is not None:
         deltas = deltas[:samples]
     points = list(families_up_to(point_size, nchars, kind="char"))
+    # points[:ends[s]] are the points of size <= s
+    ends = list(accumulate(family_count(s, nchars)
+                           for s in range(point_size + 1)))
     for delta in deltas:
         factor = Fraction(G.order ** delta.size, class_order(delta, G)[0])
         for lam in points:
@@ -309,10 +331,8 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
         pairs = pairs[:samples]
     for d1, d2 in pairs:
         kvec = k_vector(d1, d2, G).items()
-        pts = list(families_up_to(
-            min(d1.size + d2.size + 1, point_size), nchars,
-            kind="char"))[:point_cap]
-        for pt in pts:
+        top = min(d1.size + d2.size + 1, point_size)
+        for pt in points[:min(ends[top], point_cap)]:
             rhs = image(d1, pt) * image(d2, pt)
             lhs = Fraction(0) if exact else 0j
             for g, k in kvec:

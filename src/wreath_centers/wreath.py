@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import NotACycle, PadTooSmall, SizeMismatch
 from .groups import FiniteGroup
-from .partitions import as_partition, partitions_of, union, z_of
+from .partitions import as_partition, partitions_of, z_of
 
 __all__ = [
     "PartitionFamily", "WreathElement", "families_of_size", "family_count",
@@ -38,7 +38,7 @@ class PartitionFamily:
     "class" for conjugacy-class indexing, "char" for character indexing.
     """
 
-    __slots__ = ("kind", "entries", "_hash")
+    __slots__ = ("kind", "entries", "size", "_hash")
 
     def __init__(self, entries=(), kind: str = "class"):
         if isinstance(entries, dict):
@@ -57,13 +57,23 @@ class PartitionFamily:
                 raise ValueError(f"duplicate index {a}")
         if kind not in ("class", "char"):
             raise ValueError(f"unknown family kind {kind!r}")
-        self.kind = kind
-        self.entries = tuple(items)
-        self._hash = hash((self.kind, self.entries))
+        self._set(tuple(items), kind, sum([sum(lam) for _, lam in items]))
 
-    @property
-    def size(self) -> int:
-        return sum(sum(lam) for _, lam in self.entries)
+    @classmethod
+    def _of(cls, entries: tuple, kind: str, size: int) -> "PartitionFamily":
+        """Trusted constructor for families the package derives itself:
+        entries must already be canonical (a tuple sorted by index, each
+        partition a non-empty non-increasing tuple), kind valid and size
+        their total."""
+        fam = cls.__new__(cls)
+        fam._set(entries, kind, size)
+        return fam
+
+    def _set(self, entries, kind, size):
+        self.kind = kind
+        self.entries = entries
+        self.size = size
+        self._hash = hash((kind, entries))
 
     @property
     def num_cycles(self) -> int:
@@ -93,9 +103,13 @@ class PartitionFamily:
             raise PadTooSmall(f"cannot pad size-{self.size} family to {n}")
         if extra == 0:
             return self
-        items = dict(self.entries)
-        items[0] = union(items.get(0, ()), (1,) * extra)
-        return PartitionFamily(items, self.kind)
+        ones = (1,) * extra
+        entries = self.entries
+        if entries and entries[0][0] == 0:
+            head, entries = entries[0][1] + ones, entries[1:]
+        else:
+            head = ones
+        return PartitionFamily._of(((0, head),) + entries, self.kind, n)
 
     def strip_ones(self):
         """Remove 1-parts at class 0; returns (proper family, count removed)."""
@@ -103,9 +117,10 @@ class PartitionFamily:
         ones = lam0.count(1)
         if ones == 0:
             return self, 0
-        items = dict(self.entries)
-        items[0] = tuple(p for p in lam0 if p != 1)
-        return PartitionFamily(items, self.kind), ones
+        rest = self.entries[1:]
+        if len(lam0) > ones:
+            rest = ((0, lam0[:-ones]),) + rest
+        return PartitionFamily._of(rest, self.kind, self.size - ones), ones
 
     def sort_key(self):
         return (self.size, self.entries)
@@ -143,8 +158,10 @@ def families_of_size(n: int, num_indices: int, kind: str = "class"):
                 head = ((idx, lam),) if lam else ()
                 for rest in gen(idx + 1, rem - k):
                     yield head + rest
+    if kind not in ("class", "char"):
+        raise ValueError(f"unknown family kind {kind!r}")
     for items in gen(0, n):
-        yield PartitionFamily(items, kind)
+        yield PartitionFamily._of(items, kind, n)
 
 
 def family_count(n: int, num_indices: int) -> int:

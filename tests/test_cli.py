@@ -1,5 +1,7 @@
 """Command line interface, exercised through subprocesses."""
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import shlex
@@ -261,6 +263,46 @@ def test_k_path_cap_checked_before_streaming():
         assert "26943840" in r.stderr
 
 
+def test_verify_poly_sweep_cap_checked_before_sweeping(monkeypatch, capsys):
+    """cyclic:3 verify-poly --size-cap 4 --n 8 would make 1,482,871
+    checks at n up to 8: weight 11,862,968, above the default cap, so it
+    is refused before any product is computed."""
+    def refuse(*args, **kw):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "product_classes", refuse)
+    monkeypatch.setattr(cli, "structure_polynomials", refuse)
+    assert main(["--group", "cyclic:3", "verify-poly", "--size-cap", "4",
+                 "--n", "8"]) == 5
+    assert "11862968" in capsys.readouterr().err
+
+
+class _Zeros:
+    def coeff(self, fam):
+        return 0
+
+
+@pytest.mark.parametrize("spec", ["trivial", "cyclic:2", "cyclic:3", "sym:3",
+                                  "dihedral:4"])
+def test_verify_poly_checks_counted_in_closed_form(monkeypatch, capsys, spec):
+    """The closed-form count behind the verify-poly work check equals the
+    sweep's own `checked`, with and without --samples.  The products and
+    polynomials are stubbed to zero, so only the sweep's counting runs."""
+    monkeypatch.setattr(cli, "product_classes", lambda *a, **kw: _Zeros())
+    monkeypatch.setattr(cli, "structure_polynomials", lambda *a: {})
+    G = builtin_group(spec)
+    for size_cap, n, samples in itertools.product(
+            (0, 1, 2), (0, 2, 4), (None, 0, 1, 5)):
+        argv = ["--group", spec, "verify-poly", "--size-cap", str(size_cap),
+                "--n", str(n)]
+        if samples is not None:
+            argv += ["--samples", str(samples)]
+        assert main(argv) == 0, argv
+        checked = json.loads(capsys.readouterr().out)["checked"]
+        args = argparse.Namespace(size_cap=size_cap, n=n, samples=samples)
+        assert cli._poly_checks(G, args) == checked, argv
+
+
 @pytest.mark.parametrize("spec, n", [("sym:3", "4"), ("dihedral:4", "3")])
 def test_verify_poly_non_abelian(capsys, spec, n):
     """Polynomials from k against product_classes on non-abelian G, where
@@ -381,3 +423,42 @@ def test_readme_example_runs(capsys, line):
     rc = main(shlex.split(line, comments=True)[1:])
     capsys.readouterr()
     assert rc == 0, line
+
+
+# sha256 of stdout.  The JSON and CSV writers print each payload as its
+# command built it, so these pin the rounding each command does itself.
+PINNED_STDOUT = {
+    ("sym:3", "json", "group-info"):
+        "2a4d88263ecd31c9344805c1e0b2b09da9406b2b867d758e265288942bef7fd6",
+    ("sym:3", "csv", "group-info"):
+        "414e061d186266cebc159c56958d62ab3d2c0fcc4b2c99092a118b896fcebde5",
+    ("dihedral:4", "json", "group-info"):
+        "ca26939fae1f72f18690cfb189336166af75fcdb3b03fa91e10a0a86ed74ac6e",
+    ("dihedral:4", "csv", "group-info"):
+        "70b308308b9f2605fe4dd1037353c658d67cf606794f56bd30380f01c9c52d1e",
+    ("cyclic:5", "json", "group-info"):
+        "00758686f7e9dc3b3a52c751894b11b5fc1fa0f46e7dec110a8be3e9d6011743",
+    ("cyclic:5", "csv", "group-info"):
+        "76ab7e7f051514feba1c013123ccb47cb45c546b07338726c1717593a612dccc",
+    ("cyclic:2", "json", "verify-iso"):
+        "8fd169c8d8a1ea45f74a6d4c3c760d790f07de9ee38e31769da0db5c6a5e38b3",
+    ("cyclic:2", "csv", "verify-iso"):
+        "0bfa723722eb86624f393b06c6ff8a7e4ce352ea13c2f8a797c025b57fb57f94",
+    ("sym:3", "json", "verify-iso"):
+        "d9237f03252cc76e4e74c304f9970b0f00815f0d2c9162491f91af78fa777bd8",
+    ("sym:3", "csv", "verify-iso"):
+        "d356e37ebf234ec50114bae872e1de240bbb3fd85af64917dc7f3145be5b4ec6",
+}
+
+
+@pytest.mark.parametrize("spec, fmt, cmd", sorted(PINNED_STDOUT))
+def test_stdout_pinned(capsys, spec, fmt, cmd):
+    """Floats rounded to 12 significant digits, complex character values
+    as [re, im], abs_err unrounded in CSV: the bytes are pinned."""
+    argv = ["--group", spec, "--format", fmt, cmd]
+    if cmd == "verify-iso":
+        argv += ["--size-cap", "2", "--point-size", "4"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[
+        spec, fmt, cmd]

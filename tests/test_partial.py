@@ -145,6 +145,27 @@ def test_proj():
     assert proj(d, 6) == {pp_unity(): 2}
 
 
+def test_derived_elements_match_validated(z3):
+    """The class stream, products and canonical representatives build
+    their elements without re-validating them; each equals the element
+    the validating constructor builds from the same data."""
+    def check(x):
+        ref = GPartialPermutation(x.support, x.omega, x.labels)
+        assert x == ref and hash(x) == hash(ref) and x._key == ref._key
+        assert type(x.support) is tuple
+        assert x.omega == ref.omega and x.labels == ref.labels
+
+    fams = [f for f in families_up_to(3, 3) if f.size]
+    x0 = canonical_partial_representative(PartitionFamily({1: (2,)}), z3)
+    check(x0)
+    for fam in fams:
+        check(canonical_partial_representative(fam, z3))
+        for y in enumerate_partial_class(fam, 4, z3):
+            check(y)
+            check(pp_multiply(x0, y, z3))
+            check(pp_multiply(y, x0, z3))
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         GPartialPermutation((1, 2), {1: 1, 2: 3}, {1: 0, 2: 0})

@@ -218,6 +218,25 @@ def test_verify_theorem71_evaluates_each_image_once(monkeypatch, gname):
     assert calls and set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("gname", ["cyclic:2", "sym:3"])
+def test_verify_theorem71_evaluates_each_term_once(monkeypatch, gname):
+    """The character-alphabet expansions of different delta share terms;
+    one call computes each (character family, point) term once."""
+    G = builtin_group(gname)
+    calls = Counter()
+    real = shifted.p_sharp_family_eval
+
+    def counting(mfam, point):
+        calls[(mfam, point)] += 1
+        return real(mfam, point)
+
+    monkeypatch.setattr(shifted, "p_sharp_family_eval", counting)
+    rows = verify_theorem71(G, size_cap=2, point_size=4)
+    assert rows and all(r["pass"] for r in rows)
+    assert calls and set(calls.values()) == {1}
+    assert {mfam.kind for mfam, _ in calls} == {"char"}
+
+
 def test_p_sharp_family_index_agnostic(z2):
     # the family evaluator reads alphabet i from the point's i entry
     fam = PartitionFamily({1: (2,)}, kind="char")

@@ -6,6 +6,9 @@ import random
 import pytest
 
 from wreath_centers.errors import NotACycle, PadTooSmall, SizeMismatch
+from wreath_centers.groups import builtin_group
+from wreath_centers.kernels import decode_type_key, encode_type_key
+from wreath_centers.partial import GPartialPermutation, pp_type
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, canonical_representative, class_order,
     cycle_product, enumerate_class, families_of_size, families_up_to,
@@ -218,6 +221,44 @@ def test_families_of_size_counts():
         for n in range(-1, 7):
             assert family_count(n, num_indices) == len(
                 list(families_of_size(n, num_indices))), (n, num_indices)
+
+
+def assert_canonical(fam):
+    """fam, built by a derivation that skips validation, is the family
+    the validating constructor builds from the same entries."""
+    ref = PartitionFamily(fam.entries, fam.kind)
+    assert fam.entries == ref.entries and type(fam.entries) is tuple
+    assert fam.size == ref.size == sum(map(sum, ref.to_json().values()))
+    assert hash(fam) == hash(ref) and fam == ref and ref == fam
+
+
+@pytest.mark.parametrize("num_indices", [1, 2, 3, 4])
+def test_derived_families_are_canonical(num_indices):
+    """families_of_size, pad, strip_ones, decode_type_key and pp_type
+    build their families without re-validating them."""
+    for n in range(7):
+        for fam in families_of_size(n, num_indices, kind="char"):
+            assert_canonical(fam)
+        for fam in families_of_size(n, num_indices):
+            assert_canonical(fam)
+            for m in (n, n + 1, n + 3):
+                padded = fam.pad(m)
+                assert_canonical(padded)
+                assert_canonical(padded.strip_ones()[0])
+            assert_canonical(fam.strip_ones()[0])
+            key = encode_type_key(fam, n, num_indices)
+            assert_canonical(decode_type_key(key, n, num_indices))
+    G = {1: "trivial", 2: "cyclic:2", 3: "sym:3", 4: "dihedral:2"}[num_indices]
+    G = builtin_group(G)
+    assert G.num_classes == num_indices
+    rng = random.Random(num_indices)
+    for _ in range(200):
+        k = rng.randrange(0, 7)
+        sup = sorted(rng.sample(range(1, 9), k))
+        omega = dict(zip(sup, rng.sample(sup, k)))
+        x = GPartialPermutation(sup, omega,
+                                {i: rng.randrange(G.order) for i in sup})
+        assert_canonical(pp_type(x, G))
 
 
 @pytest.mark.parametrize("num_indices,n", [(1, 8), (2, 6), (3, 5), (4, 4), (5, 4)])
