@@ -1,9 +1,10 @@
 """Command line front end.
 
 Every computation is reachable as a subcommand with machine-readable
-output; JSON output is deterministic byte-for-byte for identical
-inputs: fixed key order, and floats rounded to 12 significant digits by
-the code that builds each payload, which holds only JSON-native values.
+output; JSON output is json.dumps(payload, indent=2), deterministic
+byte-for-byte for identical inputs: fixed key order, and floats rounded
+to 12 significant digits by the code that builds each payload, which
+holds only JSON-native values.
 Families are passed as JSON objects keyed by class id, e.g.
 '{"0": [2], "1": [1, 1]}'; run group-info to see the class ids.
 """
@@ -18,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 
 from . import errors as err
 from .center import DEFAULT_CLASS_CAP, product_classes
@@ -141,8 +143,98 @@ def _g12(x):
     return float(f"{x:.12g}")
 
 
+def _json_float(x):
+    # the standard library's spellings, allow_nan being on
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the builtin encoder of each leaf type, looked up by exact type
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_key(key):
+    """A dict key as json.dumps writes it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    for cls in (float, bool, type(None), int):
+        if isinstance(key, cls):
+            return '"' + _JSON_LEAVES[cls](key) + '"'
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(payload):
+    """json.dumps(payload, indent=2), byte for byte.
+
+    The standard library encodes an indented payload in pure Python; here
+    each leaf goes through a builtin routine, and each dict or list is
+    encoded once per indent level: payloads share sub-objects (a sweep's
+    rows share their family dicts), and the payload keeps every object
+    alive, so (id, indent) names one encoding for the length of the call.
+    A value that is not JSON-native raises TypeError, as json.dumps does.
+    """
+    return _json_value(payload, 0, {})
+
+
+def _json_value(o, ind, memo):
+    leaf = _JSON_LEAVES.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    if isinstance(o, (dict, list, tuple)):
+        key = (id(o), ind)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _json_container(o, ind, memo)
+        return hit
+    # subclasses of the leaf types, in the order json.dumps tests them
+    for cls in (str, int, float):
+        if isinstance(o, cls):
+            return _JSON_LEAVES[cls](o)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+def _json_container(o, ind, memo):
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = ind + 2
+    leaves = _JSON_LEAVES
+    parts = []
+    if isinstance(o, dict):
+        for k, v in o.items():
+            leaf = leaves.get(type(v))
+            parts.append(
+                (encode_basestring_ascii(k) if type(k) is str
+                 else _json_key(k)) + ": "
+                + (leaf(v) if leaf is not None
+                   else _json_value(v, inner, memo)))
+        opening, closing = "{", "}"
+    else:
+        for v in o:
+            leaf = leaves.get(type(v))
+            parts.append(leaf(v) if leaf is not None
+                         else _json_value(v, inner, memo))
+        opening, closing = "[", "]"
+    pad = "\n" + " " * inner
+    return (opening + pad + ("," + pad).join(parts)
+            + "\n" + " " * ind + closing)
+
+
 def _emit_json(payload):
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload))
+    sys.stdout.write("\n")
 
 
 def _emit_csv(rows, header):

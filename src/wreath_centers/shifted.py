@@ -169,7 +169,7 @@ class CharacterCalculator:
     def dim(self, lam):
         """Degree of the irreducible indexed by lam (a positive integer)."""
         n = lam.size
-        ident = PartitionFamily([(0, (1,) * n)] if n else [], kind="class")
+        ident = PartitionFamily._of(((0, (1,) * n),) if n else (), "class", n)
         val = self.x_value(lam, ident)
         d = round(val.real)
         if abs(val - d) > 1e-9 * max(1.0, abs(val)) or d <= 0:
@@ -215,14 +215,22 @@ def p_sharp_family_eval(delta, point):
     return out
 
 
-def image_eval(delta, point, G, calc=None, terms=None):
+def _image_factor(delta, G):
+    """|G|^{|delta|} / Z_delta, exactly."""
+    return Fraction(G.order ** delta.size, class_order(delta, G)[0])
+
+
+def image_eval(delta, point, G, calc=None, terms=None, factor=None):
     """Image of C_{delta;inf} under the isomorphism, evaluated at a
     character-indexed family of partitions: (|G|^{|delta|} / Z_delta)
     times P#_delta at the point.  Exact for |G| = 1, where the one class
     alphabet is the one character alphabet.  terms, a dict, memoizes the
     value of each expansion term at the point across calls; the images
-    of different delta share many terms."""
-    factor = Fraction(G.order ** delta.size, class_order(delta, G)[0])
+    of different delta share many terms.  factor, when given, is
+    |G|^{|delta|} / Z_delta, which callers evaluating one delta at many
+    points compute once."""
+    if factor is None:
+        factor = _image_factor(delta, G)
     if G.order == 1:
         return factor * p_sharp_family_eval(delta, point)
     if calc is None:
@@ -281,12 +289,28 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     exact = G.order == 1
     images = {}
     terms = {}
+    factors = {}
+    jsons = {}
     rows = []
+
+    def factor_of(fam):
+        hit = factors.get(fam)
+        if hit is None:
+            hit = factors[fam] = _image_factor(fam, G)
+        return hit
 
     def image(fam, pt):
         hit = images.get((fam, pt))
         if hit is None:
-            hit = images[(fam, pt)] = image_eval(fam, pt, G, calc, terms)
+            hit = images[(fam, pt)] = image_eval(
+                fam, pt, G, calc, terms, factor_of(fam))
+        return hit
+
+    def js(fam):
+        # one dict per family, shared by every row that names it
+        hit = jsons.get(fam)
+        if hit is None:
+            hit = jsons[fam] = fam.to_json()
         return hit
 
     def row(check, inp, lhs, rhs):
@@ -308,7 +332,7 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     ends = list(accumulate(family_count(s, nchars)
                            for s in range(point_size + 1)))
     for delta in deltas:
-        factor = Fraction(G.order ** delta.size, class_order(delta, G)[0])
+        factor = factor_of(delta)
         for lam in points:
             # the reference side: central characters, not the image route
             if lam.size < delta.size:
@@ -322,7 +346,7 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
                 x = calc.x_value(lam, delta.pad(lam.size))
                 rhs = (float(factor) * perm(lam.size, delta.size)
                        / calc.dim(lam)) * x
-            row("chain", {"delta": delta.to_json(), "lam": lam.to_json()},
+            row("chain", {"delta": js(delta), "lam": js(lam)},
                 image(delta, lam), rhs)
 
     proper = [f for f in families_up_to(size_cap, ncls) if f.is_proper()]
@@ -338,8 +362,8 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
             for g, k in kvec:
                 lhs += k * image(g, pt)
             row("homomorphism",
-                {"delta1": d1.to_json(), "delta2": d2.to_json(),
-                 "point": pt.to_json()}, lhs, rhs)
+                {"delta1": js(d1), "delta2": js(d2), "point": js(pt)},
+                lhs, rhs)
     return rows
 
 

@@ -50,6 +50,35 @@ def test_byte_identical_repeats():
     assert c.returncode == 0 and c.stdout == d.stdout
 
 
+L2 = '{"1": [2]}'
+JSON_COMMANDS = [
+    ("cyclic:3", "group-info"),
+    ("sym:3", "group-info"),
+    ("cyclic:2", "classes", "--n", "3"),
+    ("cyclic:2", "ccoeff", "--n", "3", "--lam", L2, "--del", L2,
+     "--gam", '{"0": [3]}'),
+    ("cyclic:2", "kcoeff", "--lam", L2, "--del", L2),
+    ("cyclic:2", "kcoeff", "--lam", L2, "--del", L2, "--gam", '{"0": [3]}'),
+    ("sym:3", "poly", "--lam", L2, "--del", L2),
+    ("cyclic:2", "verify-poly", "--lam", L2, "--del", L2, "--gam", L2,
+     "--n", "4"),
+    ("cyclic:2", "verify-poly", "--size-cap", "1", "--n", "3"),
+    ("cyclic:2", "verify-iso", "--size-cap", "2", "--point-size", "3"),
+    ("sym:3", "verify-iso", "--size-cap", "1", "--point-size", "3"),
+    ("cyclic:2", "enumerate-partial", "--n", "2"),
+    ("cyclic:2", "enumerate-partial", "--n", "2", "--lam", L2),
+]
+
+
+@pytest.mark.parametrize("spec, argv", [(c[0], c[1:]) for c in JSON_COMMANDS])
+def test_json_output_is_json_dumps_indent_2(capsys, spec, argv):
+    """Every JSON-emitting subcommand prints exactly
+    json.dumps(payload, indent=2) and a newline."""
+    assert main(["--group", spec, *argv]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_global_flags_after_subcommand():
     a = run("--group", "cyclic:2", "classes", "--n", "2")
     b = run("classes", "--group", "cyclic:2", "--n", "2")

@@ -79,6 +79,20 @@ def test_degrees_z2_s2(z2):
     assert sum(d * d for d in degs) == 8
 
 
+def test_dim_validates_no_family(monkeypatch, s3):
+    """dim builds the identity class through the trusted constructor, so
+    once the character values are cached it validates no family."""
+    calc = CharacterCalculator(s3)
+    lams = list(families_up_to(3, 3, kind="char"))
+    first = [calc.dim(l) for l in lams]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("dim validated a family")
+
+    monkeypatch.setattr(PartitionFamily, "__init__", refuse)
+    assert [calc.dim(l) for l in lams] == first
+
+
 def test_dim_square_sum(z3, s3):
     for G in (z3, s3):
         calc = CharacterCalculator(G)
@@ -216,6 +230,30 @@ def test_verify_theorem71_evaluates_each_image_once(monkeypatch, gname):
     assert rows and all(r["pass"] for r in rows)
     assert {r["check"] for r in rows} == {"chain", "homomorphism"}
     assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("gname", ["trivial", "cyclic:2", "sym:3"])
+def test_verify_theorem71_shares_factors_and_families(monkeypatch, gname):
+    """One call computes |G|^|delta| / Z_delta once per delta, and its
+    rows share one JSON dict per family."""
+    G = builtin_group(gname)
+    calls = Counter()
+    real = shifted.class_order
+
+    def counting(fam, group):
+        calls[fam] += 1
+        return real(fam, group)
+
+    monkeypatch.setattr(shifted, "class_order", counting)
+    rows = verify_theorem71(G, size_cap=2, point_size=4)
+    assert rows and all(r["pass"] for r in rows)
+    assert calls and set(calls.values()) == {1}
+    dicts = {}
+    for r in rows:
+        for key, obj in r["input"].items():
+            kind = "char" if key in ("lam", "point") else "class"
+            dicts.setdefault((kind, repr(obj)), set()).add(id(obj))
+    assert dicts and all(len(ids) == 1 for ids in dicts.values())
 
 
 @pytest.mark.parametrize("gname", ["cyclic:2", "sym:3"])
