@@ -28,7 +28,8 @@ from .kernels import BACKEND
 from .partial import class_size_partial, enumerate_partial_class, semigroup_order
 from .shifted import verify_theorem71
 from .universal import (
-    k_vector, structure_polynomial, structure_polynomials, verify_polynomiality)
+    k_stream_size, k_vector, structure_polynomial, structure_polynomials,
+    verify_polynomiality)
 from .wreath import (
     PartitionFamily, class_order, families_of_size, families_up_to, family_count)
 
@@ -179,10 +180,13 @@ def _json_text(payload):
     """json.dumps(payload, indent=2), byte for byte.
 
     The standard library encodes an indented payload in pure Python; here
-    each leaf goes through a builtin routine, and each dict or list is
-    encoded once per indent level: payloads share sub-objects (a sweep's
-    rows share their family dicts), and the payload keeps every object
-    alive, so (id, indent) names one encoding for the length of the call.
+    each leaf goes through a builtin routine, and a dict or list met again
+    at the same indent level reuses its encoding: payloads share
+    sub-objects (a sweep's rows share their family dicts), and the payload
+    keeps every object alive, so (id, indent) names one encoding for the
+    length of the call.  The first meeting only marks the key, and the
+    second keeps the string, so containers met once (the rows themselves)
+    are freed as soon as their parent has joined them.
     A value that is not JSON-native raises TypeError, as json.dumps does.
     """
     return _json_value(payload, 0, {})
@@ -193,11 +197,16 @@ def _json_value(o, ind, memo):
     if leaf is not None:
         return leaf(o)
     if isinstance(o, (dict, list, tuple)):
-        key = (id(o), ind)
+        # (id, indent) packed in one int, as indent < 2**32: a tuple key
+        # per container adds a fifth of the output to the verify-iso peak
+        key = id(o) << 32 | ind
         hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _json_container(o, ind, memo)
-        return hit
+        if hit:
+            return hit
+        text = _json_container(o, ind, memo)
+        # "" marks a first meeting: no container encodes to it
+        memo[key] = "" if hit is None else text
+        return text
     # subclasses of the leaf types, in the order json.dumps tests them
     for cls in (str, int, float):
         if isinstance(o, cls):
@@ -211,25 +220,29 @@ def _json_container(o, ind, memo):
         return "{}" if isinstance(o, dict) else "[]"
     inner = ind + 2
     leaves = _JSON_LEAVES
-    parts = []
+    comma = ",\n" + " " * inner
+    # one flat join: the pieces and the result are the only copies held
+    pieces = []
     if isinstance(o, dict):
         for k, v in o.items():
             leaf = leaves.get(type(v))
-            parts.append(
-                (encode_basestring_ascii(k) if type(k) is str
-                 else _json_key(k)) + ": "
-                + (leaf(v) if leaf is not None
-                   else _json_value(v, inner, memo)))
+            pieces += (comma,
+                       encode_basestring_ascii(k) if type(k) is str
+                       else _json_key(k),
+                       ": ",
+                       leaf(v) if leaf is not None
+                       else _json_value(v, inner, memo))
         opening, closing = "{", "}"
     else:
         for v in o:
             leaf = leaves.get(type(v))
-            parts.append(leaf(v) if leaf is not None
-                         else _json_value(v, inner, memo))
+            pieces += (comma,
+                       leaf(v) if leaf is not None
+                       else _json_value(v, inner, memo))
         opening, closing = "[", "]"
-    pad = "\n" + " " * inner
-    return (opening + pad + ("," + pad).join(parts)
-            + "\n" + " " * ind + closing)
+    pieces[0] = opening + comma[1:]
+    pieces.append("\n" + " " * ind + closing)
+    return "".join(pieces)
 
 
 def _emit_json(payload):
@@ -399,14 +412,12 @@ def cmd_ccoeff(G, args):
 
 def _k_pair(G, args):
     """--lam/--del of kcoeff and poly, refused before anything streams:
-    k_vector streams the smaller class at N = |lam|+|del|."""
+    k_vector streams the side with the smaller k_stream_size."""
     lam = _parse_family(args.lam, G, "lam")
     delta = _parse_family(args.delta, G, "del")
-    top = lam.size + delta.size
-    _cap_total("|lam|+|del|", top, args)
-    streamed = min(class_size_partial(lam, top, G),
-                   class_size_partial(delta, top, G))
-    _cap(streamed, f"streamed class has {streamed} elements", args)
+    _cap_total("|lam|+|del|", lam.size + delta.size, args)
+    streamed = min(k_stream_size(lam, delta, G), k_stream_size(delta, lam, G))
+    _cap(streamed, f"k stream has {streamed} elements", args)
     return lam, delta
 
 

@@ -10,26 +10,37 @@ and the finite-n structure coefficients are recovered from them as
 for proper families, where Gamma^j adds j extra 1-parts at the identity
 class.  structure_polynomials reads that right-hand side off the keys
 of k_vector.
+
+k_vector computes every k of a pair from one stream of partial
+permutations.  Conjugating the other factor by a permutation that fixes
+the support of one factor leaves the type of their product unchanged,
+so with that factor fixed on {1..f} only one support per orbit of the
+other factor's supports is streamed, weighted by the orbit size;
+k_stream_size counts that stream in closed form, and the command line
+weighs its cap with it.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 from types import MappingProxyType
 
 from .center import DEFAULT_CLASS_CAP, product_classes
 from .errors import GuardrailExceeded, NotProper
 from .partial import (
+    GPartialPermutation,
     canonical_partial_representative,
     class_size_partial,
     enumerate_partial_class,
     pp_multiply,
     pp_type,
 )
-from .wreath import family_order
+from .wreath import class_order, family_order, iter_class
 
 __all__ = [
+    "k_stream_size",
     "k_vector",
     "k_coeff",
     "k_coeff_oracle",
@@ -44,6 +55,16 @@ ORACLE_MAX_TOTAL_SIZE = 5
 ORACLE_MAX_GROUP_ORDER = 3
 
 
+def k_stream_size(streamed, fixed, G):
+    """Elements k_vector streams when it fixes `fixed` and streams
+    `streamed`: one support per orbit, sum_{i <= min(f, k)} binom(f, i)
+    of them for f = |fixed|, k = |streamed|, each carrying the
+    class_order(streamed) elements of that type on it."""
+    f, k = fixed.size, streamed.size
+    return class_order(streamed, G)[1] * sum(
+        comb(f, i) for i in range(min(f, k) + 1))
+
+
 @lru_cache(maxsize=1024)
 def k_vector(lam, delta, G):
     """Every nonzero k_{lam delta}^Gamma at once, as a read-only
@@ -51,21 +72,41 @@ def k_vector(lam, delta, G):
 
     Inside P^G_N with N = |lam|+|delta| every product type fits, and
     C_{lam;N} C_{delta;N} = sum_Gamma k^Gamma C_{Gamma;N}.  As in
-    center.product_classes, the factor with the larger class is fixed
-    at its canonical element, the other class is streamed once, and the
-    product types are histogrammed:
-    k^Gamma = |C_fixed;N| * h[Gamma] / |C_{Gamma;N}| (exact, asserted).
+    center.product_classes, one factor is fixed at its canonical element,
+    the other class is streamed once, and the product types are
+    histogrammed: k^Gamma = |C_fixed;N| * h[Gamma] / |C_{Gamma;N}|
+    (exact, asserted).  The fixed element has support {1..f}, so the
+    permutations of the other k = N - f points fix it and keep every
+    product type: a streamed support T counts for its whole orbit.  The
+    orbit of T is set by head = T & {1..f}; its representative is
+    head | {f+1..f+m} with m = k - |head|, and it holds binom(k, m)
+    supports.  Only the representatives are streamed, each product type
+    weighted by its orbit size; the side streamed is the one with the
+    smaller k_stream_size (delta on a tie).
     """
-    N = lam.size + delta.size
-    size_l = class_size_partial(lam, N, G)
-    size_d = class_size_partial(delta, N, G)
-    if size_d <= size_l:
-        x0, factor = canonical_partial_representative(lam, G), size_l
-        prods = (pp_multiply(x0, y, G) for y in enumerate_partial_class(delta, N, G))
+    if k_stream_size(delta, lam, G) <= k_stream_size(lam, delta, G):
+        fixed, streamed = lam, delta
+        x0 = canonical_partial_representative(lam, G)
+        mult = lambda y: pp_multiply(x0, y, G)
     else:
-        y0, factor = canonical_partial_representative(delta, G), size_d
-        prods = (pp_multiply(x, y0, G) for x in enumerate_partial_class(lam, N, G))
-    hist = Counter(pp_type(p, G) for p in prods)
+        fixed, streamed = delta, lam
+        y0 = canonical_partial_representative(delta, G)
+        mult = lambda x: pp_multiply(x, y0, G)
+    f, k = fixed.size, streamed.size
+    N = f + k
+    hist = Counter()
+    for m in range(max(0, k - f), k + 1):
+        tail = tuple(range(f + 1, f + m + 1))
+        supports = (head + tail
+                    for head in combinations(range(1, f + 1), k - m))
+        reps = Counter(
+            pp_type(mult(GPartialPermutation._of(sup, omega, labels)), G)
+            for sup, omega, labels in iter_class(streamed, supports, G))
+        # each representative with m tail points stands for binom(k, m)
+        weight = comb(k, m)
+        for gam, c in reps.items():
+            hist[gam] += weight * c
+    factor = class_size_partial(fixed, N, G)
     out = {}
     for gam in sorted(hist, key=family_order(G.num_classes)):
         total = factor * hist[gam]

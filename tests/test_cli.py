@@ -282,14 +282,23 @@ def test_verify_iso_cap_weighs_each_check_by_point_size(monkeypatch, capsys):
     assert "9352240" in capsys.readouterr().err
 
 
-def test_k_path_cap_checked_before_streaming():
-    # kcoeff and poly stream C_{(6)^1;12} over Z_3: 26,943,840 elements,
-    # above the default cap, so both refuse before streaming
+def test_k_path_cap_checked_before_streaming(monkeypatch, capsys):
+    """kcoeff and poly weigh the k stream by k_stream_size, one support
+    per orbit: sym:3 (6)^1 x (6)^1 streams 119,439,360 elements, above
+    the default cap, and cyclic:3 (6)^1 x (6)^1 streams 1,866,240, above
+    a cap of 1,000,000; each is refused before anything streams."""
+    def refuse(*args, **kw):
+        raise AssertionError("the k stream started")
+
+    for name in ("k_vector", "structure_polynomial", "structure_polynomials"):
+        monkeypatch.setattr(cli, name, refuse)
     for cmd in ("kcoeff", "poly"):
-        r = run("--group", "cyclic:3", cmd,
-                "--lam", '{"1": [6]}', "--del", '{"1": [6]}')
-        assert r.returncode == 5, (cmd, r.stderr)
-        assert "26943840" in r.stderr
+        assert main(["--group", "sym:3", cmd, "--lam", '{"1": [6]}',
+                     "--del", '{"1": [6]}']) == 5, cmd
+        assert "119439360" in capsys.readouterr().err
+        assert main(["--group", "cyclic:3", "--cap-class-size", "1000000",
+                     cmd, "--lam", '{"1": [6]}', "--del", '{"1": [6]}']) == 5
+        assert "1866240" in capsys.readouterr().err
 
 
 def test_verify_poly_sweep_cap_checked_before_sweeping(monkeypatch, capsys):

@@ -2,11 +2,13 @@
 for byte, on every JSON-native tree, shared sub-objects included."""
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from wreath_centers import cli
 from wreath_centers.cli import _json_text
 
 SPECIAL = [10 ** 40, -(10 ** 40), 2 ** 63, -0.0, math.nan, math.inf,
@@ -56,3 +58,24 @@ def test_non_json_value_raises_type_error(bad):
         json.dumps(bad, indent=2)
     with pytest.raises(TypeError):
         _json_text(bad)
+
+
+def test_writer_peak_memory_near_twice_the_output(monkeypatch, capsys):
+    """A container's string is kept only once the container is met a
+    second time: on the cyclic:3 verify-iso rows (1.6 MB of output, every
+    row sharing its family dicts with others) the writer's peak stays
+    near the output plus the pieces it joins, not every row held twice."""
+    payloads = []
+    monkeypatch.setattr(cli, "_emit_json", payloads.append)
+    assert cli.main(["--group", "cyclic:3", "verify-iso", "--size-cap", "2",
+                     "--point-size", "4"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        text = _json_text(payloads[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(payloads[0], indent=2)
+    assert len(text) > 1_500_000
+    assert peak < 2.75 * len(text), (peak, len(text))

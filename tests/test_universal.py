@@ -1,15 +1,23 @@
 """Universal (n-independent) structure coefficients and polynomiality."""
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
 
+from wreath_centers import universal
 from wreath_centers.errors import GuardrailExceeded, NotProper
+from wreath_centers.groups import builtin_group, group_from_table
+from wreath_centers.partial import (
+    canonical_partial_representative, class_size_partial,
+    enumerate_partial_class, pp_multiply, pp_type)
 from wreath_centers.universal import (
-    PolynomialInN, k_coeff, k_coeff_oracle, k_vector,
+    PolynomialInN, k_coeff, k_coeff_oracle, k_stream_size, k_vector,
     structure_polynomial, structure_polynomials, verify_polynomiality,
 )
-from wreath_centers.wreath import PartitionFamily, families_up_to
+from wreath_centers.wreath import (
+    PartitionFamily, families_up_to, family_order, iter_class)
 
 
 def test_k_matches_oracle_small(z2, z3, triv):
@@ -224,3 +232,118 @@ def test_polynomial_json(z2):
     assert set(j) == {"gamma", "binomial", "monomial", "degree", "latex"}
     assert j["gamma"] == {}
     assert all(isinstance(k, str) for k in j["binomial"])
+
+
+def _k_by_every_support(lam, delta, G):
+    """The k-vector without the orbit reduction: lam fixed at its
+    canonical element, every element of C_{delta;N} on every support of
+    [N] multiplied by it, product types histogrammed and divided."""
+    N = lam.size + delta.size
+    x0 = canonical_partial_representative(lam, G)
+    hist = Counter(pp_type(pp_multiply(x0, y, G), G)
+                   for y in enumerate_partial_class(delta, N, G))
+    factor = class_size_partial(lam, N, G)
+    out = {}
+    for gam in sorted(hist, key=family_order(G.num_classes)):
+        total, csize = factor * hist[gam], class_size_partial(gam, N, G)
+        assert total % csize == 0
+        out[gam] = total // csize
+    return out
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "dihedral:4"])
+def test_k_vector_equals_every_support_listing(spec):
+    """One support per orbit, weighted by the orbit size, gives the
+    k-vector of the full listing, values and key order, on non-abelian
+    G: every ordered pair of families of size <= 2, non-proper ones and
+    the empty family included."""
+    G = builtin_group(spec)
+    fams = list(families_up_to(2, G.num_classes))
+    assert any(not f.is_proper() for f in fams)
+    for lam in fams:
+        for delta in fams:
+            assert list(k_vector(lam, delta, G).items()) \
+                == list(_k_by_every_support(lam, delta, G).items()), \
+                (lam, delta)
+
+
+def test_k_stream_size_counts_the_streamed_elements(monkeypatch):
+    """k_stream_size is the number of elements k_vector streams, and
+    k_vector streams the side with the smaller count."""
+    streamed = []
+
+    def counting(fam, supports, G):
+        for element in iter_class(fam, supports, G):
+            streamed.append(fam)
+            yield element
+
+    monkeypatch.setattr(universal, "iter_class", counting)
+    for spec, cap in (("trivial", 4), ("cyclic:3", 2), ("sym:3", 2),
+                      ("dihedral:4", 2)):
+        G = builtin_group(spec)
+        fams = list(families_up_to(cap, G.num_classes))
+        for lam in fams[::3]:
+            for delta in fams[1::2]:
+                streamed.clear()
+                k_vector.__wrapped__(lam, delta, G)
+                assert len(streamed) == min(k_stream_size(lam, delta, G),
+                                            k_stream_size(delta, lam, G))
+    # |lam| = 4 against |delta| = 1 on the trivial group: delta streams
+    # one element on each of 1 + 4 supports, lam its six 4-cycles on
+    # each of 2 supports
+    lam, delta = PartitionFamily({0: (4,)}), PartitionFamily({0: (1,)})
+    triv = builtin_group("trivial")
+    assert k_stream_size(delta, lam, triv) == 5
+    assert k_stream_size(lam, delta, triv) == 6 * 2
+    streamed.clear()
+    k_vector.__wrapped__(lam, delta, triv)
+    assert streamed == [delta] * 5
+
+
+def _q8():
+    """Q8 from its multiplication table: element 4s + u stands for
+    (-1)^s times the unit u of (1, i, j, k)."""
+    # units[u][v] = (s, w) with unit_u * unit_v = (-1)^s unit_w
+    units = [[(0, 0), (0, 1), (0, 2), (0, 3)],
+             [(0, 1), (1, 0), (0, 3), (1, 2)],
+             [(0, 2), (1, 3), (1, 0), (0, 1)],
+             [(0, 3), (0, 2), (1, 1), (1, 0)]]
+    table = [[0] * 8 for _ in range(8)]
+    for a in range(8):
+        for b in range(8):
+            s, w = units[a % 4][b % 4]
+            table[a][b] = 4 * ((a // 4 + b // 4 + s) % 2) + w
+    return group_from_table(table)
+
+
+def _class_constants(G):
+    """c[a][b][c]: pairs (x, y) in C_a x C_b with x y equal to the first
+    member of C_c, the structure constants of Z(C[G])."""
+    k = range(G.num_classes)
+    return [[[sum(G.mul[x][y] == G.classes[c][0]
+                  for x in G.classes[a] for y in G.classes[b])
+              for c in k] for b in k] for a in k]
+
+
+def test_q8_k_vectors_equal_dihedral_4():
+    """Q8 and dihedral:4 have isomorphic class algebras; under the class
+    map that carries one set of structure constants to the other, their
+    k-vectors agree on every ordered pair of nonempty families of size
+    <= 2.  Every value compared is an exact integer."""
+    q8, d4 = _q8(), builtin_group("dihedral:4")
+    assert any(q8.mul[a][b] != q8.mul[b][a]
+               for a in range(8) for b in range(8))
+    cq, cd = _class_constants(q8), _class_constants(d4)
+    k = range(q8.num_classes)
+    pi = next(p for p in permutations(k)
+              if all(cq[a][b][c] == cd[p[a]][p[b]][p[c]]
+                     for a in k for b in k for c in k))
+    move = lambda fam: PartitionFamily({pi[c]: parts
+                                        for c, parts in fam.entries})
+    fams = [f for f in families_up_to(2, q8.num_classes) if f.size]
+    for lam in fams:
+        for delta in fams:
+            moved = {move(g): v for g, v in k_vector(lam, delta, q8).items()}
+            assert moved == dict(k_vector(move(lam), move(delta), d4)), \
+                (lam, delta)
+    assert len(fams) ** 2 == 625
