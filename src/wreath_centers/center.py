@@ -76,14 +76,12 @@ def product_classes(lam, delta, n, G, cap=DEFAULT_CLASS_CAP):
         raise CapExceeded(
             "smallest streamable class has %d elements, cap is %d"
             % (min(size_l, size_d), cap))
+    # x0 y and y x0 are conjugate, so either factor can be the fixed one
     if size_d <= size_l:
-        x0 = canonical_representative(lam, n, G)
-        hist = type_histogram(G, delta, x0, side=2)
-        factor = size_l
+        fixed, streamed, factor = lam, delta, size_l
     else:
-        y0 = canonical_representative(delta, n, G)
-        hist = type_histogram(G, lam, y0, side=3)
-        factor = size_d
+        fixed, streamed, factor = delta, lam, size_d
+    hist = type_histogram(G, streamed, canonical_representative(fixed, n, G))
     ncls = G.num_classes
     terms = {}
     for key, cnt in hist.items():

@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every computation is reachable as a subcommand with machine-readable
-output; JSON output is json.dumps(payload, indent=2), deterministic
-byte-for-byte for identical inputs: fixed key order, and floats rounded
-to 12 significant digits by the code that builds each payload, which
-holds only JSON-native values.
+Every computation is reachable as a subcommand.  Each cmd_* returns its
+payload, and main emits it once, in JSON, CSV or LaTeX, through the
+views build_parser declares beside the subcommand.  JSON output is
+json.dumps(payload, indent=2), deterministic byte-for-byte for identical
+inputs: fixed key order, and floats rounded to 12 significant digits by
+the code that builds each payload, which holds only JSON-native values.
 Families are passed as JSON objects keyed by class id, e.g.
 '{"0": [2], "1": [1, 1]}'; run group-info to see the class ids.
 """
@@ -12,7 +13,6 @@ Families are passed as JSON objects keyed by class id, e.g.
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -250,32 +250,84 @@ def _emit_json(payload):
     sys.stdout.write("\n")
 
 
-def _emit_csv(rows, header):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([json.dumps(v, separators=(",", ":"))
-                    if isinstance(v, (dict, list)) else v for v in row])
-    sys.stdout.write(buf.getvalue())
+def _emit(payload, args):
+    """Write a command's payload to stdout in args.format, through the
+    view of that format which build_parser declared for the command."""
+    view = args.views[args.format]
+    if args.format == "json":
+        _emit_json(view(payload))
+    elif args.format == "csv":
+        header, rows = view(payload)
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([json.dumps(v, separators=(",", ":"))
+                     if isinstance(v, (dict, list)) else v for v in row]
+                    for row in rows)
+    else:
+        sys.stdout.write("".join(line + "\n" for line in view(payload)))
+
+
+def _columns(*tables):
+    """A CSV view declared as columns.  Each table is (key, *fields), and
+    the first whose key the payload holds gives one row per entry of
+    payload[key]; key None lists the payload itself, a list of entries
+    or one entry.  A field is an entry key, or a (header, entry key) pair."""
+    def view(payload):
+        for key, *fields in tables:
+            if key is None or key in payload:
+                break
+        if key is not None:
+            entries = payload[key]
+        else:
+            entries = payload if isinstance(payload, list) else [payload]
+        names = [f if isinstance(f, str) else f[1] for f in fields]
+        return ([f if isinstance(f, str) else f[0] for f in fields],
+                [[e[name] for name in names] for e in entries])
+    return view
 
 
 def _fam_latex(fam):
-    if not fam.entries:
+    """A family's JSON object, {class id: parts}, in LaTeX."""
+    if not fam:
         return r"\emptyset"
-    bits = []
-    for i, parts in fam.entries:
-        body = ",".join(str(p) for p in parts)
-        bits.append("(%s)^{%d}" % (body, i))
-    return r" \cup ".join(bits)
+    return r" \cup ".join("(%s)^{%s}" % (",".join(map(str, parts)), i)
+                           for i, parts in fam.items())
+
+
+def _cx_latex(value):
+    real, imag = value
+    if abs(imag) < 1e-9:
+        return (str(round(real)) if abs(real - round(real)) < 1e-9
+                else f"{real:.6g}")
+    return f"{real:.4g}{imag:+.4g}i"
+
+
+def _group_info_latex(payload):
+    rows = payload["characters"]["rows"]
+    k = len(rows)
+    return ([r"\begin{array}{c|%s}" % ("c" * k),
+             " & ".join([r"\chi"] + [f"c_{c}" for c in range(k)])
+             + r" \\ \hline"]
+            + [f"\\gamma_{i} & {' & '.join(map(_cx_latex, row))} \\\\"
+               for i, row in enumerate(rows)]
+            + [r"\end{array}"])
+
+
+def _round_abs_err(rows):
+    # rounded here, not in the rows: the CSV form prints it unrounded
+    for r in rows:
+        r["abs_err"] = _g12(r["abs_err"])
+    return rows
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each cmd_* returns (payload, ok): the payload holds only JSON-native
+# values, and ok False makes the exit code 1.
 
 def cmd_group_info(G, args):
     chars = G.character_table()
-    k = len(chars.rows)
-    payload = {
+    return {
         "group": args.group_label,
         "order": G.order,
         "classes": [
@@ -290,31 +342,7 @@ def cmd_group_info(G, args):
             "orthogonality_residual": _g12(chars.residual),
         },
         "backend": BACKEND,
-    }
-    if args.format == "csv":
-        _emit_csv([(c["id"], c["size"], c["centralizer"],
-                    " ".join(map(str, c["members"])))
-                   for c in payload["classes"]],
-                  ["class", "size", "centralizer", "members"])
-    elif args.format == "latex":
-        lines = [r"\begin{array}{c|%s}" % ("c" * k)]
-        lines.append(" & ".join(
-            [r"\chi"] + [f"c_{c}" for c in range(k)]) + r" \\ \hline")
-        for i, row in enumerate(chars.rows):
-            vals = " & ".join(_cx_latex(v) for v in row)
-            lines.append(f"\\gamma_{i} & {vals} \\\\")
-        lines.append(r"\end{array}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        _emit_json(payload)
-    return 0
-
-
-def _cx_latex(v):
-    if abs(v.imag) < 1e-9:
-        r = v.real
-        return str(round(r)) if abs(r - round(r)) < 1e-9 else f"{r:.6g}"
-    return f"{v.real:.4g}{v.imag:+.4g}i"
+    }, True
 
 
 def _cap(weight, what, args):
@@ -352,24 +380,10 @@ def cmd_classes(G, args):
     expected = G.order ** n
     for i in range(2, n + 1):
         expected *= i
-    payload = {"group": args.group_label, "n": n, "count": len(rows),
-               "classes": rows,
-               "checksum": {"sum": total, "expected": expected,
-                            "ok": total == expected}}
-    if args.format == "csv":
-        _emit_csv([(r["family"], r["Z"], r["size"]) for r in rows],
-                  ["family", "Z", "class_size"])
-    elif args.format == "latex":
-        lines = [r"\begin{array}{l|r|r}",
-                 r"\Lambda & Z_\Lambda & |C_\Lambda| \\ \hline"]
-        for r in rows:
-            fam = PartitionFamily.from_json(r["family"])
-            lines.append(f"{_fam_latex(fam)} & {r['Z']} & {r['size']} \\\\")
-        lines.append(r"\end{array}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        _emit_json(payload)
-    return 0 if payload["checksum"]["ok"] else 1
+    return {"group": args.group_label, "n": n, "count": len(rows),
+            "classes": rows,
+            "checksum": {"sum": total, "expected": expected,
+                         "ok": total == expected}}, total == expected
 
 
 def cmd_ccoeff(G, args):
@@ -394,25 +408,13 @@ def cmd_ccoeff(G, args):
     if args.gam is not None:
         gam = _parse_family(args.gam, G, "gam").pad(n)
         payload["coeff"] = vec.coeff(gam)
-    if args.format == "csv":
-        _emit_csv([(t["gamma"], t["coeff"]) for t in terms],
-                  ["gamma", "coeff"])
-    elif args.format == "latex":
-        bits = [("%d \\, C_{%s}" % (t["coeff"],
-                 _fam_latex(PartitionFamily.from_json(t["gamma"]))))
-                for t in terms]
-        sys.stdout.write(
-            "C_{%s} \\cdot C_{%s} = %s\n"
-            % (_fam_latex(lam), _fam_latex(delta),
-               " + ".join(bits) if bits else "0"))
-    else:
-        _emit_json(payload)
-    return 0 if payload["mass"]["ok"] else 1
+    return payload, mass == product
 
 
 def _k_pair(G, args):
-    """--lam/--del of kcoeff and poly, refused before anything streams:
-    k_vector streams the side with the smaller k_stream_size."""
+    """--lam/--del of kcoeff, poly and single-mode verify-poly, refused
+    before anything streams: k_vector streams the side with the smaller
+    k_stream_size."""
     lam = _parse_family(args.lam, G, "lam")
     delta = _parse_family(args.delta, G, "del")
     _cap_total("|lam|+|del|", lam.size + delta.size, args)
@@ -433,26 +435,7 @@ def cmd_kcoeff(G, args):
     else:
         payload["kvec"] = [{"gamma": g.to_json(), "k": k}
                            for g, k in kvec.items()]
-    if args.format == "csv":
-        rows = ([(payload["gamma"], payload["k"])] if args.gam is not None
-                else [(t["gamma"], t["k"]) for t in payload["kvec"]])
-        _emit_csv(rows, ["gamma", "k"])
-    elif args.format == "latex":
-        if args.gam is not None:
-            sys.stdout.write(
-                "k_{%s, %s}^{%s} = %d\n"
-                % (_fam_latex(lam), _fam_latex(delta),
-                   _fam_latex(PartitionFamily.from_json(payload["gamma"])),
-                   payload["k"]))
-        else:
-            for t in payload["kvec"]:
-                sys.stdout.write(
-                    "k^{%s} = %d\n"
-                    % (_fam_latex(PartitionFamily.from_json(t["gamma"])),
-                       t["k"]))
-    else:
-        _emit_json(payload)
-    return 0
+    return payload, True
 
 
 def cmd_poly(G, args):
@@ -462,24 +445,9 @@ def cmd_poly(G, args):
             lam, delta, _parse_family(args.gam, G, "gam"), G)]
     else:
         polys = list(structure_polynomials(lam, delta, G).values())
-    payload = {"group": args.group_label,
-               "lam": lam.to_json(), "del": delta.to_json(),
-               "polynomials": [p.to_json() for p in polys]}
-    if args.format == "csv":
-        _emit_csv([(p.gamma.to_json(), p.degree,
-                    json.dumps({str(j): k for j, k in
-                                sorted(p.binom_coeffs.items())},
-                               separators=(",", ":")),
-                    p.latex()) for p in polys],
-                  ["gamma", "degree", "binomial", "latex"])
-    elif args.format == "latex":
-        for p in polys:
-            sys.stdout.write("c_{%s,%s}^{%s}(n) = %s\n"
-                             % (_fam_latex(lam), _fam_latex(delta),
-                                _fam_latex(p.gamma), p.latex()))
-    else:
-        _emit_json(payload)
-    return 0
+    return {"group": args.group_label,
+            "lam": lam.to_json(), "del": delta.to_json(),
+            "polynomials": [p.to_json() for p in polys]}, True
 
 
 @functools.lru_cache(maxsize=16)
@@ -523,8 +491,7 @@ def cmd_verify_poly(G, args):
             raise UsageError(
                 "verify-poly takes either no families or all of "
                 "--lam/--del/--gam")
-        lam = _parse_family(args.lam, G, "lam")
-        delta = _parse_family(args.delta, G, "del")
+        lam, delta = _k_pair(G, args)
         gam = _parse_family(args.gam, G, "gam")
         lo = max(lam.size, delta.size, gam.size)
         report = verify_polynomiality(lam, delta, gam, G,
@@ -533,7 +500,6 @@ def cmd_verify_poly(G, args):
         payload = {"group": args.group_label, "mode": "single",
                    "polynomial": report["polynomial"],
                    "rows": report["rows"], "pass": report["all_match"]}
-        ok = report["all_match"]
     else:
         size_cap = args.size_cap
         _cap_total("2*size_cap", 2 * size_cap, args)
@@ -560,27 +526,11 @@ def cmd_verify_poly(G, args):
                 c, bad = _verify_pair(job)
                 checked += c
                 mismatches.extend(bad)
-        ok = not mismatches
         payload = {"group": args.group_label, "mode": "sweep",
                    "size_cap": size_cap, "n_max": n_max,
                    "pairs": len(pairs), "checked": checked,
-                   "mismatches": mismatches, "pass": ok}
-    if args.format == "csv":
-        if payload["mode"] == "single":
-            _emit_csv([(r["n"], r["predicted"], r["direct"], r["match"])
-                       for r in payload["rows"]],
-                      ["n", "predicted", "direct", "match"])
-        else:
-            _emit_csv([(m["lam"], m["del"], m["gamma"], m["n"],
-                        m["predicted"], m["direct"])
-                       for m in payload["mismatches"]],
-                      ["lam", "del", "gamma", "n", "predicted", "direct"])
-    elif args.format == "latex":
-        sys.stdout.write("\\text{%s}\n"
-                         % ("all checks passed" if ok else "MISMATCH"))
-    else:
-        _emit_json(payload)
-    return 0 if ok else 1
+                   "mismatches": mismatches, "pass": not mismatches}
+    return payload, payload["pass"]
 
 
 def _proper_counts(k, size_cap):
@@ -665,22 +615,9 @@ def cmd_verify_iso(G, args):
     rows = verify_theorem71(G, size_cap=args.size_cap, samples=args.samples,
                             point_size=args.point_size,
                             point_cap=args.point_cap, tol=args.tolerance)
-    ok = all(r["pass"] for r in rows)
     npass = sum(1 for r in rows if r["pass"])
     sys.stderr.write(f"{npass}/{len(rows)} checks passed\n")
-    if args.format == "csv":
-        _emit_csv([(r["check"], r["input"], r["lhs"], r["rhs"],
-                    r["pass"], r["abs_err"]) for r in rows],
-                  ["check", "input", "lhs", "rhs", "pass", "abs_err"])
-    elif args.format == "latex":
-        sys.stdout.write("\\text{%d/%d evaluation checks passed}\n"
-                         % (npass, len(rows)))
-    else:
-        # rounded here, not in the rows: the CSV form prints it unrounded
-        for r in rows:
-            r["abs_err"] = _g12(r["abs_err"])
-        _emit_json(rows)
-    return 0 if ok else 1
+    return rows, npass == len(rows)
 
 
 def cmd_enumerate_partial(G, args):
@@ -695,11 +632,6 @@ def cmd_enumerate_partial(G, args):
                    "count": len(elems), "count_formula": expected,
                    "ok": len(elems) == expected,
                    "elements": [e.to_json() for e in elems]}
-        rows = [(json.dumps(e["support"], separators=(",", ":")),
-                 json.dumps(e["omega"], separators=(",", ":")),
-                 json.dumps(e["labels"], separators=(",", ":")))
-                for e in payload["elements"]]
-        header = ["support", "omega", "labels"]
     else:
         # size by size, so a large n stops as soon as the cap is passed
         count = 0
@@ -716,17 +648,7 @@ def cmd_enumerate_partial(G, args):
         payload = {"group": args.group_label, "n": n,
                    "total": total, "total_formula": formula,
                    "ok": total == formula, "families": fams}
-        rows = [(f["family"], f["count"]) for f in fams]
-        header = ["family", "count"]
-    if args.format == "csv":
-        _emit_csv(rows, header)
-    elif args.format == "latex":
-        sys.stdout.write("|\\mathfrak{P}^G_{%d}| = %d\n"
-                         % (n, payload.get("total",
-                                           payload.get("count", 0))))
-    else:
-        _emit_json(payload)
-    return 0 if payload["ok"] else 1
+    return payload, payload["ok"]
 
 
 # ---------------------------------------------------------------- driver
@@ -764,9 +686,12 @@ def build_parser():
         parents=[common])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help):
+    def add(name, fn, help, csv, latex, to_json=lambda payload: payload):
+        """A subcommand and its views of fn's payload: to_json gives the
+        JSON payload, csv the header and rows, latex the lines."""
         sp = sub.add_parser(name, parents=[common], help=help)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, views={"json": to_json, "csv": csv,
+                                      "latex": latex})
         return sp
 
     def add_families(sp, required):
@@ -774,27 +699,66 @@ def build_parser():
         sp.add_argument("--del", dest="delta", required=required)
         sp.add_argument("--gam")
 
-    add("group-info", cmd_group_info, "order, classes, character table")
+    add("group-info", cmd_group_info, "order, classes, character table",
+        csv=lambda p: (["class", "size", "centralizer", "members"],
+                       [(c["id"], c["size"], c["centralizer"],
+                         " ".join(map(str, c["members"])))
+                        for c in p["classes"]]),
+        latex=_group_info_latex)
 
-    sp = add("classes", cmd_classes, "conjugacy classes of G wr S_n")
+    sp = add("classes", cmd_classes, "conjugacy classes of G wr S_n",
+             csv=_columns(("classes", "family", "Z", ("class_size", "size"))),
+             latex=lambda p: (
+                 [r"\begin{array}{l|r|r}",
+                  r"\Lambda & Z_\Lambda & |C_\Lambda| \\ \hline"]
+                 + [f"{_fam_latex(r['family'])} & {r['Z']} & {r['size']} \\\\"
+                    for r in p["classes"]]
+                 + [r"\end{array}"]))
     sp.add_argument("--n", type=_count, required=True)
 
     sp = add("ccoeff", cmd_ccoeff,
-             "expand a product of class sums in Z(C[G wr S_n])")
+             "expand a product of class sums in Z(C[G wr S_n])",
+             csv=_columns(("expansion", "gamma", "coeff")),
+             latex=lambda p: ["C_{%s} \\cdot C_{%s} = %s" % (
+                 _fam_latex(p["lam"]), _fam_latex(p["del"]),
+                 " + ".join("%d \\, C_{%s}" % (t["coeff"],
+                                               _fam_latex(t["gamma"]))
+                            for t in p["expansion"]) or "0")])
     sp.add_argument("--n", type=_count, required=True)
     add_families(sp, required=True)
 
     add_families(add("kcoeff", cmd_kcoeff,
                      "n-independent structure constants of the partial "
-                     "permutation algebra"), required=True)
+                     "permutation algebra",
+                     csv=_columns(("kvec", "gamma", "k"), (None, "gamma", "k")),
+                     latex=lambda p: (
+                         ["k_{%s, %s}^{%s} = %d" % (
+                             _fam_latex(p["lam"]), _fam_latex(p["del"]),
+                             _fam_latex(p["gamma"]), p["k"])]
+                         if "k" in p else
+                         ["k^{%s} = %d" % (_fam_latex(t["gamma"]), t["k"])
+                          for t in p["kvec"]])),
+                 required=True)
 
     add_families(add("poly", cmd_poly,
-                     "structure coefficients as polynomials in n"),
+                     "structure coefficients as polynomials in n",
+                     csv=_columns(("polynomials", "gamma", "degree",
+                                   "binomial", "latex")),
+                     latex=lambda p: [
+                         "c_{%s,%s}^{%s}(n) = %s" % (
+                             _fam_latex(p["lam"]), _fam_latex(p["del"]),
+                             _fam_latex(q["gamma"]), q["latex"])
+                         for q in p["polynomials"]]),
                  required=True)
 
     sp = add("verify-poly", cmd_verify_poly,
              "check predicted polynomials against direct center "
-             "computations")
+             "computations",
+             csv=_columns(("rows", "n", "predicted", "direct", "match"),
+                          ("mismatches", "lam", "del", "gamma", "n",
+                           "predicted", "direct")),
+             latex=lambda p: ["\\text{%s}" % ("all checks passed"
+                                              if p["pass"] else "MISMATCH")])
     add_families(sp, required=False)
     sp.add_argument("--n", type=_count, default=6,
                     help="largest n to check (default 6)")
@@ -803,14 +767,23 @@ def build_parser():
 
     sp = add("verify-iso", cmd_verify_iso,
              "pointwise checks of the shifted symmetric function "
-             "isomorphism")
+             "isomorphism",
+             to_json=_round_abs_err,
+             csv=_columns((None, "check", "input", "lhs", "rhs", "pass",
+                           "abs_err")),
+             latex=lambda rows: ["\\text{%d/%d evaluation checks passed}" % (
+                 sum(1 for r in rows if r["pass"]), len(rows))])
     sp.add_argument("--size-cap", type=_count, default=2)
     sp.add_argument("--point-size", type=_count, default=7)
     sp.add_argument("--point-cap", type=_count, default=200)
     sp.add_argument("--samples", type=_count)
 
     sp = add("enumerate-partial", cmd_enumerate_partial,
-             "G-labeled partial permutations of [n] by type")
+             "G-labeled partial permutations of [n] by type",
+             csv=_columns(("elements", "support", "omega", "labels"),
+                          ("families", "family", "count")),
+             latex=lambda p: ["|\\mathfrak{P}^G_{%d}| = %d" % (
+                 p["n"], p.get("total", p.get("count", 0)))])
     sp.add_argument("--n", type=_count, required=True)
     sp.add_argument("--lam")
 
@@ -826,11 +799,13 @@ def main(argv=None):
         if n is not None and n > args.max_n:
             raise err.CapExceeded(
                 f"n={n} exceeds the configured max_n={args.max_n}")
-        return args.fn(G, args)
+        payload, ok = args.fn(G, args)
     except (UsageError, err.WreathCentersError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kinds, code in _EXIT_CODES
                     if isinstance(exc, kinds))
+    _emit(payload, args)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -84,9 +84,10 @@ def _kinds(fam):
     return lens, clss, cnts
 
 
-def type_histogram(G, fam, z, side, backend=None):
-    """Stream C_fam in G wr S_n and histogram types of u against the
-    fixed element z; side 2 gives u = z w, side 3 gives u = w z."""
+def type_histogram(G, fam, z, backend=None):
+    """Stream C_fam in G wr S_n and histogram the types of u = w z for
+    the fixed element z.  z w = z (w z) z^-1 has the same type, so the
+    histogram serves both orders of the product."""
     n = fam.size
     if n != z.n:
         raise SizeMismatch("family size %d vs element size %d" % (n, z.n))
@@ -94,18 +95,16 @@ def type_histogram(G, fam, z, side, backend=None):
         raise Overflow("n=%d exceeds the packed-key limit %d" % (n, _MAX_N))
     if G.order > _MAX_ORDER:
         raise Overflow("|G|=%d exceeds kernel limit %d" % (G.order, _MAX_ORDER))
-    if side not in (2, 3):
-        raise ValueError("side must be 2 or 3")
     name = backend or BACKEND
     if name == "cython":
         if _speedups is None:
             raise ValueError("compiled backend unavailable")
         flat, inv, cls_of, members, offsets = _group_tables(G)
         lens, clss, cnts = _kinds(fam)
+        # side 3 of the compiled kernel: u = w z
         return _speedups.type_histogram(
-            n, G.order, G.num_classes, side, flat, inv, cls_of,
+            n, G.order, G.num_classes, 3, flat, inv, cls_of,
             members, offsets, lens, clss, cnts, list(z.labels), list(z.perm))
     if name == "python":
-        # z w = z (w z) z^-1, so both sides have the types of w z
         return _fallback.type_histogram(G, fam, z)
     raise ValueError("unknown backend %r" % (name,))

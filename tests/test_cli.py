@@ -301,6 +301,20 @@ def test_k_path_cap_checked_before_streaming(monkeypatch, capsys):
         assert "1866240" in capsys.readouterr().err
 
 
+def test_verify_poly_single_cap_checked_before_streaming(monkeypatch, capsys):
+    """Single-mode verify-poly weighs the k stream as kcoeff does:
+    cyclic:3 (5)^1 x (5)^1 streams 62,208 elements, above a cap of 1,000,
+    so it is refused before the polynomial or any product is computed."""
+    def refuse(*args, **kw):
+        raise AssertionError("the k stream started")
+
+    monkeypatch.setattr(cli, "verify_polynomiality", refuse)
+    assert main(["--group", "cyclic:3", "--cap-class-size", "1000",
+                 "verify-poly", "--lam", '{"1": [5]}', "--del", '{"1": [5]}',
+                 "--gam", '{"1": [5, 5]}', "--n", "10"]) == 5
+    assert "62208" in capsys.readouterr().err
+
+
 def test_verify_poly_sweep_cap_checked_before_sweeping(monkeypatch, capsys):
     """cyclic:3 verify-poly --size-cap 4 --n 8 would make 1,482,871
     checks at n up to 8: weight 11,862,968, above the default cap, so it
@@ -463,8 +477,29 @@ def test_readme_example_runs(capsys, line):
     assert rc == 0, line
 
 
-# sha256 of stdout.  The JSON and CSV writers print each payload as its
-# command built it, so these pin the rounding each command does itself.
+# The argv after --group and --format of each pinned command.
+PINNED_ARGV = {
+    "group-info": ("group-info",),
+    "verify-iso": ("verify-iso", "--size-cap", "2", "--point-size", "4"),
+    "classes": ("classes", "--n", "3"),
+    "ccoeff": ("ccoeff", "--n", "3", "--lam", L2, "--del", L2),
+    "ccoeff-gam": ("ccoeff", "--n", "3", "--lam", L2, "--del", L2,
+                   "--gam", '{"0": [3]}'),
+    "kcoeff": ("kcoeff", "--lam", L2, "--del", L2),
+    "kcoeff-gam": ("kcoeff", "--lam", L2, "--del", L2, "--gam", '{"0": [3]}'),
+    "poly": ("poly", "--lam", L2, "--del", L2),
+    "poly-gam": ("poly", "--lam", L2, "--del", L2, "--gam", '{"0": [3]}'),
+    "verify-poly-single": ("verify-poly", "--lam", L2, "--del", '{"0": [2]}',
+                           "--gam", '{"0": [2], "1": [2]}', "--n", "4"),
+    "verify-poly-sweep": ("verify-poly", "--size-cap", "1", "--n", "3"),
+    "enumerate-partial": ("enumerate-partial", "--n", "2"),
+    "enumerate-partial-lam": ("enumerate-partial", "--n", "3", "--lam", L2),
+}
+
+# sha256 of stdout, keyed by (group, format, PINNED_ARGV name).  The JSON
+# and CSV writers print each payload as its command built it, so these pin
+# the rounding each command does itself; the rest pin every command's
+# bytes in all three formats.
 PINNED_STDOUT = {
     ("sym:3", "json", "group-info"):
         "2a4d88263ecd31c9344805c1e0b2b09da9406b2b867d758e265288942bef7fd6",
@@ -486,17 +521,147 @@ PINNED_STDOUT = {
         "d9237f03252cc76e4e74c304f9970b0f00815f0d2c9162491f91af78fa777bd8",
     ("sym:3", "csv", "verify-iso"):
         "d356e37ebf234ec50114bae872e1de240bbb3fd85af64917dc7f3145be5b4ec6",
+    ("cyclic:2", "json", "classes"):
+        "a42a8738a4870ede1403a2ef885e06a041ca1f71a92899422909db56cc87cfdc",
+    ("cyclic:2", "csv", "classes"):
+        "2843815509de321a52a63c4dc2d92c5aac4af1427b75eba730b77d9cc152c9b4",
+    ("cyclic:2", "latex", "classes"):
+        "0a69dc9299b79e1e2b9a2b7cad65588460f3d92188595570f92a8244fa0e3d9e",
+    ("cyclic:2", "json", "ccoeff"):
+        "384493b247d5f82233175135129e96cd17ebb4f6b7512599fab7267ef68a263a",
+    ("cyclic:2", "csv", "ccoeff"):
+        "8edc2ec8f673ba2813466c0f3374137fde9cbb4c7f21a3313064844e46ee86be",
+    ("cyclic:2", "latex", "ccoeff"):
+        "6ed0dfd038f0ebd943e9b4cea1066671fb193bbdc7b32efe7af28f8e0c84f3df",
+    ("cyclic:2", "json", "ccoeff-gam"):
+        "01a879de3549bf19441b3d679bfe20de43b26b84b833818f5004a3f3372d5141",
+    ("cyclic:2", "csv", "ccoeff-gam"):
+        "8edc2ec8f673ba2813466c0f3374137fde9cbb4c7f21a3313064844e46ee86be",
+    ("cyclic:2", "latex", "ccoeff-gam"):
+        "6ed0dfd038f0ebd943e9b4cea1066671fb193bbdc7b32efe7af28f8e0c84f3df",
+    ("cyclic:2", "json", "kcoeff"):
+        "7478e3f15067a973ac1c4b9afd01d20c75223debe37f4eb0249ffdba821490f8",
+    ("cyclic:2", "csv", "kcoeff"):
+        "9a5c3da80107adbe39b707f9eb28f9b21800e16c72eeac6c8a4bb48879ad7137",
+    ("cyclic:2", "latex", "kcoeff"):
+        "d01c8d44fa28e7c5d28c70c67641255d14a621fcc1bed05f36ace4ec6ebe102d",
+    ("cyclic:2", "json", "kcoeff-gam"):
+        "c60371b6f4fa3f1a35d5ea7193640751edd7c943cc9a702aaecaea1ecf081cb7",
+    ("cyclic:2", "csv", "kcoeff-gam"):
+        "d6e19c8c1b9f639ddabc7f4ace5a6c0129b846b9cb503ad21ab3bbd804881015",
+    ("cyclic:2", "latex", "kcoeff-gam"):
+        "d0027b29a51f5824042d2e0f80aacd6f5aad705c60a7312d4a3cbc66183b90b2",
+    ("cyclic:2", "json", "poly"):
+        "fc0cb592baf191f9549ab6cacd1f16fc4767ab069b0ed41f48695a2154839c13",
+    ("cyclic:2", "csv", "poly"):
+        "8adb35d9bd47d4e47a28f2c2059da89aef25602174ebb7389a3c34c5f12809bd",
+    ("cyclic:2", "latex", "poly"):
+        "76599873a249acd5ecc1f85bf1327e27e97d2535e808a4f1c50425c2a2f3dc32",
+    ("cyclic:2", "json", "poly-gam"):
+        "39c3cbad5d8e520bc05b76f6fff6a49e8aae33b268693862fb5aed78ccd172da",
+    ("cyclic:2", "csv", "poly-gam"):
+        "0012d86b4a476dc7d8b62be08fdf5fcc93c1e2e413c6189d11c040d19756ef9d",
+    ("cyclic:2", "latex", "poly-gam"):
+        "3d221a406af6fc1453d4e27d0374450facc135c0213679281c6bcb23d962e617",
+    ("cyclic:2", "json", "verify-poly-single"):
+        "c836175339c7e1fdd42666c613c43ef142dd3ce509189fedd734b569c8dbb8a7",
+    ("cyclic:2", "csv", "verify-poly-single"):
+        "f4105d0683aa2863ba393c36c59c826bba10d38173263a0f83da6e31feaece15",
+    ("cyclic:2", "latex", "verify-poly-single"):
+        "b68537efd35bb0bf3e49f4a6eca2906e4629d84fe4ef260c7db6ec911a1c1cd0",
+    ("cyclic:2", "json", "verify-poly-sweep"):
+        "1dd618782a515eb66db6c0d523a787dc18a788cb82c62e1865bfb303f23f5c59",
+    ("cyclic:2", "csv", "verify-poly-sweep"):
+        "dc7db71c87902b0db8958fb4bc94b3de41ed5537c6463cdb5c2bf2974c1cf2ec",
+    ("cyclic:2", "latex", "verify-poly-sweep"):
+        "b68537efd35bb0bf3e49f4a6eca2906e4629d84fe4ef260c7db6ec911a1c1cd0",
+    ("cyclic:2", "json", "enumerate-partial"):
+        "7574a2510325aff8a1558c707e624e0f4df4977a031020b09432c2da8acd4dd6",
+    ("cyclic:2", "csv", "enumerate-partial"):
+        "0eaf0a6905ba38ad9d05f5a82d6e6558bce0d33f7e10273086f517a0a81871e4",
+    ("cyclic:2", "latex", "enumerate-partial"):
+        "b74420f6921d7557ead5383428b954faf5efbdfcf26c9f30f347deecc26a337d",
+    ("cyclic:2", "json", "enumerate-partial-lam"):
+        "fba0b8e8c49d04d3b822035952f1e8bb14078eaa3ba0ba2bd3869af2ce10c085",
+    ("cyclic:2", "csv", "enumerate-partial-lam"):
+        "cf880b164e3b5c36cb378a0216200b3c96fe3b00da2bc91a22d5160121e065fa",
+    ("cyclic:2", "latex", "enumerate-partial-lam"):
+        "4c6cfb1158c3d0d82fb31f486faca776a19a9dbe314beb53b9791cf1bf557ece",
+    ("sym:3", "json", "classes"):
+        "e6b23d584f0693ff0a7726066e6b3e7141caa24b625fe779c338cb0f8888e5bf",
+    ("sym:3", "csv", "classes"):
+        "06edbb880e77d734ae5f9c44e80f0139b2ca386e1aa703a043e9a1325a35eb6b",
+    ("sym:3", "latex", "classes"):
+        "1b16bdd7ed9192fa77d585a1648724ee04bfb85950866cd9a0801fac29c0342b",
+    ("sym:3", "json", "ccoeff"):
+        "33de82ba081e39cc5a312a733ae9af15de6883fb74bb8eed74be5b09e050438b",
+    ("sym:3", "csv", "ccoeff"):
+        "b654376442be0ebc545749cb4e7a0c9f5bb59d75dd705b47f709910ac1498e0f",
+    ("sym:3", "latex", "ccoeff"):
+        "78be6f57b18d72561587df05a993058ff6fa88d0328a346519b48c898e66d2f8",
+    ("sym:3", "json", "ccoeff-gam"):
+        "8a114c192c584cb656238a3995114e7bee02cc79ed8335d1c4a86dd2857b4e1f",
+    ("sym:3", "csv", "ccoeff-gam"):
+        "b654376442be0ebc545749cb4e7a0c9f5bb59d75dd705b47f709910ac1498e0f",
+    ("sym:3", "latex", "ccoeff-gam"):
+        "78be6f57b18d72561587df05a993058ff6fa88d0328a346519b48c898e66d2f8",
+    ("sym:3", "json", "kcoeff"):
+        "5561175da142608e2aa786e84d8029b563ca045cf66c2e347d14e1db1e6c9610",
+    ("sym:3", "csv", "kcoeff"):
+        "c4e09a2eee24cf78469a91af00b56d967f53a4003057d533ad8c59ffb1b0204a",
+    ("sym:3", "latex", "kcoeff"):
+        "2de87a453c2b45f176932af8059780f44b43e48b3c38a6fb30eac50bef23d543",
+    ("sym:3", "json", "kcoeff-gam"):
+        "90dd36cf313364d28bff09007785bc553578542b37d4be5ff98f2113ea473c9e",
+    ("sym:3", "csv", "kcoeff-gam"):
+        "eaeae152db275817e24b1960fb89a5557a51e332666654cd932a4c26ff8a4b52",
+    ("sym:3", "latex", "kcoeff-gam"):
+        "b0e2c94bc8d082fddfd21fbf99745e8a4095d32116d6b622f2d2d332535b936f",
+    ("sym:3", "json", "poly"):
+        "be8bbda7b88cbc8232a119a83d0fc9fbfeb0f60bf9c6f1028ba80aef78a3cdbd",
+    ("sym:3", "csv", "poly"):
+        "f939f454f1926d37ea4df04018cfb601a6769d827fd68fbb76e7e594a8294d92",
+    ("sym:3", "latex", "poly"):
+        "9b8d135f98f7c30ca692da8597b72836666274ffdfb47a302758fda7f7c3133e",
+    ("sym:3", "json", "poly-gam"):
+        "419a76945ed26d082d3e2cc4e247d74eb95a179045ef3da3cdf5d7b62d07e1b7",
+    ("sym:3", "csv", "poly-gam"):
+        "1e4eff81e63b8af3a9e1a6810133444496d0f05009fb47199572d3d9c7e7675e",
+    ("sym:3", "latex", "poly-gam"):
+        "dac78d00e2a5b05063ca7a0dfee8044190c52803f6ce1e30effd485636142f7f",
+    ("sym:3", "json", "verify-poly-single"):
+        "01e7b015397d14156c96faf893bc93939ac359d1f2874c8c455b476ad5c9186e",
+    ("sym:3", "csv", "verify-poly-single"):
+        "f4105d0683aa2863ba393c36c59c826bba10d38173263a0f83da6e31feaece15",
+    ("sym:3", "latex", "verify-poly-single"):
+        "b68537efd35bb0bf3e49f4a6eca2906e4629d84fe4ef260c7db6ec911a1c1cd0",
+    ("sym:3", "json", "verify-poly-sweep"):
+        "6b99ab882a3b497434a452827c5d86bdab86887ac19e14facc9ff660f5b84de2",
+    ("sym:3", "csv", "verify-poly-sweep"):
+        "dc7db71c87902b0db8958fb4bc94b3de41ed5537c6463cdb5c2bf2974c1cf2ec",
+    ("sym:3", "latex", "verify-poly-sweep"):
+        "b68537efd35bb0bf3e49f4a6eca2906e4629d84fe4ef260c7db6ec911a1c1cd0",
+    ("sym:3", "json", "enumerate-partial"):
+        "4322ac39bd32c1c5b9fda7e4c94baccf589d80ca9e3c89436b83812587c0e953",
+    ("sym:3", "csv", "enumerate-partial"):
+        "b0193fba0594729eaf500205abe2d3fbdd1642501f7eca6e9c4588ee676f8839",
+    ("sym:3", "latex", "enumerate-partial"):
+        "ba149cf6f89d78d62953b4c0152c69bacfbff5f0c6c8c011e1c98fa33e3e88fe",
+    ("sym:3", "json", "enumerate-partial-lam"):
+        "afabb47986d1e461f4d950e88aa309509b2ee8c8454f87db2749754ca2d4ce87",
+    ("sym:3", "csv", "enumerate-partial-lam"):
+        "f79d5b0e0b4d07633ad56c1442a49af42412ec0ee0eb84182ad6e33c6d03ce36",
+    ("sym:3", "latex", "enumerate-partial-lam"):
+        "61df42e7b30bc5e3db159d4bcf225115fe18e7e476fd664514ea5e9e088cb9bf",
 }
 
 
 @pytest.mark.parametrize("spec, fmt, cmd", sorted(PINNED_STDOUT))
 def test_stdout_pinned(capsys, spec, fmt, cmd):
     """Floats rounded to 12 significant digits, complex character values
-    as [re, im], abs_err unrounded in CSV: the bytes are pinned."""
-    argv = ["--group", spec, "--format", fmt, cmd]
-    if cmd == "verify-iso":
-        argv += ["--size-cap", "2", "--point-size", "4"]
-    assert main(argv) == 0
+    as [re, im], abs_err unrounded in CSV, and every command's JSON, CSV
+    and LaTeX: the bytes are pinned."""
+    assert main(["--group", spec, "--format", fmt, *PINNED_ARGV[cmd]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[
         spec, fmt, cmd]

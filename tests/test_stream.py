@@ -54,13 +54,14 @@ def test_python_kernel_matches_listed_group(listed):
     for zfam in by_type:
         z = canonical_representative(zfam, n, G)
         for fam, members in by_type.items():
+            # one histogram for both orders: z w and w z are conjugate
+            got = type_histogram(G, fam, z, backend="python")
             for side in (2, 3):
                 want = {}
                 for w in members:
                     u = w_multiply(z, w, G) if side == 2 else w_multiply(w, z, G)
                     key = encode_type_key(type_of(u, G), n, G.num_classes)
                     want[key] = want.get(key, 0) + 1
-                got = type_histogram(G, fam, z, side, backend="python")
                 assert got == want, (zfam, fam, side)
 
 
