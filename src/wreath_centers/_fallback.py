@@ -1,98 +1,175 @@
-"""Pure-Python enumeration kernel.
+"""Pure-Python type-histogram kernel: the compiled kernel's {packed key:
+count} (kernels.encode_type_key) by another algorithm.  It places w's
+cycles one at a time and contracts the known part of u = w z away.
 
-Streams a full conjugacy class of G wr S_n and histograms the types of
-u = w z for a fixed element z.  This is the reference twin of the
-compiled kernel in _speedups; both produce the same packed byte keys
-(see kernels.encode_type_key).
-
-The stream is structure first, as in _speedups: wreath.structures lays
-out each permutation structure of w once, and with it the walk of every
-cycle of u.  Per labeling (one row of wreath.label_tables per w-cycle)
-only the labels are folded along those walks.  The class tuples are
-counted per structure, and each distinct tuple is packed into a byte key
-once.  When every table has a single row, as for |G| = 1, a structure
-has one labeling, and its labels are folded during the walk itself.
+Read at j = z^-1(i), u steps j -> w(z(j)) and multiplies w_j z_{z(j)}.  A
+state on the unplaced positions R holds tau, g and L: from r, u multiplies
+w_r g_r, takes L_r steps and goes on at w(tau(r)); z itself is tau = z.perm,
+g_r = z_{z(r)}, L_r = 1.  A step places one cycle C of the shortest spec
+left, fixed points aside, anywhere on R, or every fixed point of one class
+on a subset C; it counts the u-cycles that close in C and folds each chain
+through C into R - C.  Once only central fixed points are left, their labels are spread
+over the tau-cycles.  Relabeling R and conjugating by G^R keep every type,
+so a state is keyed by the specs left and, per tau-cycle, its least
+L-rotation and label-product class; it is rebuilt as canonical_representative
+lays cycles out and solved once per call.  The cycles of a spec longer
+than 1 go in every order, so counts are divided by the product of their
+count!.  Types add as integers, one byte per (class, length) slot.
 """
 
-from itertools import chain, product
+from itertools import combinations, permutations, product
+from math import comb, factorial, perm, prod
 
-from .wreath import cycle_kinds, label_tables, structures
+from .wreath import cycle_kinds, label_tables
 
 __all__ = ["type_histogram"]
 
 
 def type_histogram(G, fam, z):
-    n = fam.size
-    mul = G.mul
-    cls_of = G.class_of
-    width = n + 1
-    size = G.num_classes * width
-    zperm = z.perm
-    # Read at j = z^-1(i), a cycle of u = w z steps j -> w(z(j)) and
-    # multiplies the u-labels w_j z_{z(j)} = zcol[j][w_j] in walk order.
-    cols = list(zip(*mul))
-    zcol = [cols[z.labels[zperm[j]]] for j in range(n)]
+    mul, cls_of = G.mul, G.class_of
+    reps = [members[0] for members in G.classes]
+    cols = list(zip(*mul))  # cols[h][a] = a h
+    width = fam.size + 1
     kinds = cycle_kinds(fam)
-    tables = label_tables(kinds, G)
-    only = {spec: rows[0] for spec, rows in tables.items() if len(rows) == 1}
-    if len(only) < len(tables):
-        only = None
-    hist = {}
-    rng = range(n)
-    at = [0] * n
-    for wperm, walk, placed in structures(kinds, n):
-        seen = [False] * n
-        if only is not None:
-            # at[j]: w's label at j
-            for j, g in zip(walk, chain.from_iterable(map(only.__getitem__, placed))):
-                at[j] = g
-            counts = bytearray(size)
-            for start in rng:
-                if seen[start]:
-                    continue
-                acc = 0
-                length = 0
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    acc = mul[acc][zcol[j][at[j]]]
-                    length += 1
-                    j = wperm[zperm[j]]
-                counts[cls_of[acc] * width + length] += 1
-            key = bytes(counts)
-            hist[key] = hist.get(key, 0) + 1
-            continue
-        # at[j]: where w's label at j sits in a flattened labeling
-        for s, j in enumerate(walk):
-            at[j] = s
-        walks = []
-        lens = []
-        for start in rng:
-            if seen[start]:
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append((zcol[j], at[j]))
-                j = wperm[zperm[j]]
-            walks.append(cyc)
-            lens.append(len(cyc))
+    specs = [spec for spec, _ in kinds]
+    # row[-1], the identity, is read at the positions off the placed cycle
+    tables = {spec: [row + (0,) for row in rows]
+              for spec, rows in label_tables(kinds, G).items()}
+    # the labels of each fixed-point spec; a central class has one
+    fixed = {k: [row[0] for row in tables[spec]]
+             for k, spec in enumerate(specs) if spec[0] == 1}
+    central = {k: labels[0] for k, labels in fixed.items() if len(labels) == 1}
+    memo = {}
+
+    def solve(key):
+        if key in memo:
+            return memo[key]
+        left, cycles = key
+        live = [k for k, count in enumerate(left) if count]
+        if not live:
+            return {0: 1}
+        if len(live) == 1 and live[0] in central:
+            # the spread below, with one label a for every position left
+            a, total = central[live[0]], 0
+            for ls, c in cycles:
+                acc = reps[c]
+                for _ in ls:
+                    acc = mul[a][acc]
+                total += 1 << 8 * (cls_of[acc] * width + sum(ls))
+            return {total: 1}
+        step = spread if all(k in central for k in live) else place
+        out = memo[key] = {}
+        for (closed, child), count in step(left, cycles, live).items():
+            for k, v in solve(child).items():
+                out[k + closed] = out.get(k + closed, 0) + count * v
+        return out
+
+    def spread(left, cycles, live):
+        """w is the identity permutation with central labels: place them
+        on the first tau-cycle every way; the other cycles are the child.
+        They commute with every label, so the cycle's class is that of its
+        representative times the labels it gets."""
+        (ls, c), more = cycles[0], cycles[1:]
         tally = {}
-        for choice in product(*map(tables.__getitem__, placed)):
-            lab = tuple(chain.from_iterable(choice))
-            classes = []
-            for cyc in walks:
-                acc = 0
-                for col, s in cyc:
-                    acc = mul[acc][col[lab[s]]]
-                classes.append(cls_of[acc])
-            classes = tuple(classes)
-            tally[classes] = tally.get(classes, 0) + 1
-        for classes, count in tally.items():
-            counts = bytearray(size)
-            for c, length in zip(classes, lens):
-                counts[c * width + length] += 1
-            key = bytes(counts)
-            hist[key] = hist.get(key, 0) + count
-    return hist
+        for pick in product(*[range(min(left[k], len(ls)) + 1) for k in live]):
+            if sum(pick) == len(ls):
+                acc, rest, ways = reps[c], list(left), factorial(len(ls))
+                for k, count in zip(live, pick):
+                    rest[k] -= count
+                    ways //= factorial(count)
+                    for _ in range(count):
+                        acc = mul[central[k]][acc]
+                slot = 1 << 8 * (cls_of[acc] * width + sum(ls))
+                tally[slot, (tuple(rest), more)] = ways
+        return tally
+
+    def place(left, cycles, live):
+        """{(u-cycles closed, child key): count} over the placements of one
+        cycle of the shortest spec left that is not a fixed point, or of
+        all fixed points of one class."""
+        tau, g, L, firsts = [], [], [], []
+        for ls, c in cycles:
+            p, k = len(tau), len(ls)
+            firsts.append(p)
+            tau += [*range(p + 1, p + k), p]
+            g += [0] * (k - 1) + [reps[c]]
+            L += ls
+        m = len(tau)
+        back = {q: r for r, q in enumerate(tau)}
+        # the fixed points of class j go first when nothing else is left,
+        # or when they and the spec-i cycle after them take fewer
+        # placements (times labelings of the fixed points) than that cycle
+        i = max((k for k in live if k not in fixed), default=None)
+        j = next((k for k in live if k in fixed), None)
+        length = specs[i][0] if i is not None else 1
+        if i is None or (j is not None and (
+                comb(m, left[j]) * len(fixed[j]) ** left[j]
+                + perm(m - left[j], length) // length < perm(m, length) // length)):
+            rows = [labels + (0,) for labels in product(fixed[j], repeat=left[j])]
+            places = ((cyc, cyc) for cyc in combinations(range(m), left[j]))
+            rest = left[:j] + (0,) + left[j + 1:]
+        else:
+            rows = tables[specs[i]]
+            places = (((lead,) + tail, tail + (lead,))
+                      for lead in range(m - length + 1)
+                      for tail in permutations(range(lead + 1, m), length - 1))
+            rest = left[:i] + (left[i] - 1,) + left[i + 1:]
+        tally = {}
+        for cyc, image in places:
+            at = dict(zip(cyc, range(len(cyc))))
+            w = dict(zip(cyc, image))
+            # walk u from each chain into cyc first, so the open words come
+            # before the closed ones, then inside cyc
+            words, shapes, lens, seen = [], [], [], set()
+            for y in [back[q] for q in cyc if back[q] not in at] + list(cyc):
+                word, ls, total = [], [], 0
+                while y not in seen:
+                    seen.add(y)
+                    if y in at or g[y]:
+                        word.append((at.get(y, -1), cols[g[y]]))
+                    total += L[y]
+                    if tau[y] in at:
+                        y = w[tau[y]]
+                    else:
+                        ls.append(total)
+                        total, y = 0, tau[y]
+                if word:  # empty if y was seen before the walk
+                    words.append(word)
+                    if ls:
+                        shapes.append(min(tuple(ls[k:] + ls[:k]) for k in range(len(ls))))
+                    else:
+                        lens.append(total)
+            per = {}
+            for row in rows:
+                classes = []
+                for word in words:
+                    acc = 0
+                    for s, col in word:
+                        acc = mul[acc][col[row[s]]]
+                    classes.append(cls_of[acc])
+                classes = tuple(classes)
+                per[classes] = per.get(classes, 0) + 1
+            # the walks visit every position of the tau-cycles that meet cyc
+            kept = [cycle for cycle, p in zip(cycles, firsts) if p not in seen]
+            opened = len(shapes)
+            for classes, count in per.items():
+                closed = sum([1 << 8 * (cl * width + ln)
+                              for cl, ln in zip(classes[opened:], lens)])
+                child = rest, tuple(sorted(kept + list(zip(shapes, classes))))
+                tally[closed, child] = tally.get((closed, child), 0) + count
+        return tally
+
+    left = tuple(count for _, count in kinds)
+    # z's cycles, each with the class of its label product
+    cycles, seen = [], set()
+    for j in range(fam.size):
+        acc, ls = 0, ()
+        while j not in seen:
+            seen.add(j)
+            acc, ls, j = mul[acc][z.labels[j]], ls + (1,), z.perm[j]
+        if ls:
+            cycles.append((ls, cls_of[acc]))
+    over = prod(factorial(count) for k, count in enumerate(left) if k not in fixed)
+    size = G.num_classes * width
+    return {k.to_bytes(size, "little"): v // over
+            for k, v in solve((left, tuple(sorted(cycles)))).items()}

@@ -674,7 +674,9 @@ def build_parser():
                         help="builtin spec (trivial, cyclic:k, sym:k, "
                              "dihedral:k) or path to a JSON table file")
     common.add_argument("--format", choices=_FORMATS)
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=int,
+                        help="reserved: accepted, but read by nothing; "
+                             "it changes no output")
     common.add_argument("--workers", type=int)
     common.add_argument("--cap-class-size", type=int)
     common.add_argument("--tolerance", type=float)

@@ -2,8 +2,11 @@
 
 The compiled kernel (_speedups, Cython) is used when it imported
 cleanly and WREATH_CENTERS_PURE is unset; otherwise the pure-Python
-twin (_fallback) takes over.  Both return {packed key: count} with the
-same byte layout, so results are interchangeable and cross-checkable.
+kernel (_fallback) takes over.  Both return {packed key: count} with the
+same byte layout, so results are interchangeable.  They share no
+algorithm (the compiled one streams the class, the pure-Python one
+contracts placed cycles and memoizes the remainders), so comparing them
+is a real cross-check.
 """
 
 import os

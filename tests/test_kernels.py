@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from wreath_centers.errors import Overflow, SizeMismatch
+from wreath_centers.groups import builtin_group
 from wreath_centers.kernels import (
     BACKEND, available_backends, decode_type_key, encode_type_key,
     type_histogram,
@@ -55,8 +56,9 @@ def test_pure_kernel_matches_brute_force(z3, s3):
 
 
 @needs_cython
-def test_backend_parity(z2, z3, s3):
-    for G, n in ((z2, 4), (z3, 3), (s3, 3)):
+def test_backend_parity(triv, z2, z3, s3):
+    d4 = builtin_group("dihedral:4")
+    for G, n in ((z2, 4), (z3, 3), (s3, 3), (d4, 3), (triv, 7)):
         zf = next(f for f in families_of_size(n, G.num_classes)
                   if f.num_cycles > 1)
         z = canonical_representative(zf, n, G)
