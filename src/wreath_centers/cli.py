@@ -17,19 +17,18 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from . import errors as err
 from .center import DEFAULT_CLASS_CAP, product_classes
-from .groups import group_from_json, group_from_table, resolve_group
+from .groups import group_from_json, resolve_group
 from .kernels import BACKEND
 from .partial import class_size_partial, enumerate_partial_class, semigroup_order
 from .shifted import verify_theorem71
 from .universal import (
-    k_stream_size, k_vector, structure_polynomial, structure_polynomials,
-    verify_polynomiality)
+    k_stream_size, k_vector, polynomiality_checks, structure_polynomial,
+    structure_polynomials, verify_polynomiality)
 from .wreath import (
     PartitionFamily, class_order, families_of_size, families_up_to, family_count)
 
@@ -38,7 +37,6 @@ _DEFAULTS = {
     "group": "trivial",
     "format": "json",
     "seed": 0,
-    "workers": 1,
     "cap_class_size": DEFAULT_CLASS_CAP,
     "max_n": 255,
     "max_total_size": 12,
@@ -91,7 +89,7 @@ def _fill_settings(args):
             setattr(args, key, default if env.get(key) is None else env[key])
     if args.format not in _FORMATS:
         raise UsageError(f"format must be one of {_FORMATS}")
-    for k in ("workers", "cap_class_size", "max_n", "max_total_size"):
+    for k in ("cap_class_size", "max_n", "max_total_size"):
         if not isinstance(getattr(args, k), int) or getattr(args, k) < 1:
             raise UsageError(f"{k} must be a positive integer")
     if (not isinstance(args.tolerance, (int, float))
@@ -457,33 +455,6 @@ def _proper_targets(top, ncls):
     return tuple(g for g in families_up_to(top, ncls) if g.is_proper())
 
 
-def _verify_pair(job):
-    # worker-side: rebuild the group from its table, sweep one pair
-    mul, lam_json, del_json, n_max, cap = job
-    G = group_from_table(mul)
-    lam = PartitionFamily.from_json(lam_json)
-    delta = PartitionFamily.from_json(del_json)
-    # every proper target, zeros included, so a polynomial missing
-    # from structure_polynomials shows up as a mismatch
-    gams = _proper_targets(lam.size + delta.size, G.num_classes)
-    polys = structure_polynomials(lam, delta, G)
-    checked = 0
-    bad = []
-    for n in range(max(lam.size, delta.size), n_max + 1):
-        vec = product_classes(lam.pad(n), delta.pad(n), n, G, cap=cap)
-        for g in gams:
-            if g.size > n:
-                continue
-            predicted = polys[g].evaluate(n) if g in polys else 0
-            direct = vec.coeff(g.pad(n))
-            checked += 1
-            if predicted != direct:
-                bad.append({"lam": lam.to_json(), "del": delta.to_json(),
-                            "gamma": g.to_json(), "n": n,
-                            "predicted": predicted, "direct": direct})
-    return checked, bad
-
-
 def cmd_verify_poly(G, args):
     n_max = args.n
     if args.lam is not None or args.delta is not None or args.gam is not None:
@@ -512,20 +483,21 @@ def cmd_verify_poly(G, args):
         pairs = [(a, b) for i, a in enumerate(proper) for b in proper[i:]]
         if args.samples is not None:
             pairs = pairs[:args.samples]
-        jobs = [(G.mul, a.to_json(), b.to_json(), n_max, args.cap_class_size)
-                for a, b in pairs]
         checked = 0
         mismatches = []
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                for c, bad in pool.map(_verify_pair, jobs):
-                    checked += c
-                    mismatches.extend(bad)
-        else:
-            for job in jobs:
-                c, bad = _verify_pair(job)
-                checked += c
-                mismatches.extend(bad)
+        for a, b in pairs:
+            # every proper target, zeros included, so a polynomial missing
+            # from structure_polynomials shows up as a mismatch
+            gams = _proper_targets(a.size + b.size, G.num_classes)
+            ns = range(max(a.size, b.size), n_max + 1)
+            for n, g, predicted, direct in polynomiality_checks(
+                    a, b, gams, G, ns, args.cap_class_size):
+                checked += 1
+                if predicted != direct:
+                    mismatches.append({
+                        "lam": a.to_json(), "del": b.to_json(),
+                        "gamma": g.to_json(), "n": n,
+                        "predicted": predicted, "direct": direct})
         payload = {"group": args.group_label, "mode": "sweep",
                    "size_cap": size_cap, "n_max": n_max,
                    "pairs": len(pairs), "checked": checked,
@@ -677,7 +649,6 @@ def build_parser():
     common.add_argument("--seed", type=int,
                         help="reserved: accepted, but read by nothing; "
                              "it changes no output")
-    common.add_argument("--workers", type=int)
     common.add_argument("--cap-class-size", type=int)
     common.add_argument("--tolerance", type=float)
 

@@ -34,10 +34,6 @@ class SizeMismatch(WreathCentersError):
     """Operands do not have the common size the operation requires."""
 
 
-class NotACycle(WreathCentersError):
-    """Position sequence is not a cycle of the given permutation."""
-
-
 class SupportExceedsN(WreathCentersError):
     """Partial permutation support does not fit inside the ambient [n]."""
 

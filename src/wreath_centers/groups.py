@@ -88,7 +88,7 @@ class CharacterTable:
 
     __slots__ = ("group", "rows", "degrees", "residual")
 
-    def __init__(self, group: FiniteGroup, rows, tol: float = _ORTHO_TOL):
+    def __init__(self, group: FiniteGroup, rows):
         k = group.num_classes
         rows = [tuple(complex(v) for v in row) for row in rows]
         if len(rows) != k or any(len(r) != k for r in rows):
@@ -100,13 +100,13 @@ class CharacterTable:
         degrees = []
         for row in rows:
             d = row[0]
-            if abs(d.imag) > tol or abs(d.real - round(d.real)) > 1e-6 or d.real < 0.5:
+            if abs(d.imag) > _ORTHO_TOL or abs(d.real - round(d.real)) > 1e-6 or d.real < 0.5:
                 raise DiagonalizationFailed(f"non-integral degree {d}")
             degrees.append(round(d.real))
         self.degrees = tuple(degrees)
-        self._check_orthogonality(tol)
+        self._check_orthogonality()
 
-    def _check_orthogonality(self, tol):
+    def _check_orthogonality(self):
         # residual: the largest deviation from row orthonormality
         g = self.group
         sizes = [len(c) for c in g.classes]
@@ -116,7 +116,7 @@ class CharacterTable:
                 val = sum(sizes[c] * ri[c] * rj[c].conjugate()
                           for c in range(g.num_classes)) / g.order
                 dev = abs(val - (1 if i == j else 0))
-                if dev > tol:
+                if dev > _ORTHO_TOL:
                     raise DiagonalizationFailed(
                         f"row orthogonality fails at ({i},{j}): {val}")
                 self.residual = max(self.residual, dev)
@@ -248,7 +248,7 @@ def _lift(vals, fourier, p):
                            for j, m in enumerate(mults)))
 
 
-def group_from_table(rows, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
+def group_from_table(rows) -> FiniteGroup:
     """Validate a multiplication table and build the group.
 
     Checks shape, row/column bijectivity, existence of a two-sided
@@ -258,8 +258,8 @@ def group_from_table(rows, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty table")
-    if n > max_order:
-        raise UnsupportedSpec(f"order {n} exceeds the cap {max_order}")
+    if n > MAX_GROUP_ORDER:
+        raise UnsupportedSpec(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
     table = []
     for i, row in enumerate(rows):
         row = [int(v) for v in row]
@@ -315,11 +315,11 @@ def _dihedral_table(k: int):
     return [[mul(x, y) for y in range(2 * k)] for x in range(2 * k)]
 
 
-def builtin_group(spec: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
+def builtin_group(spec: str) -> FiniteGroup:
     """Build one of the named groups: trivial, cyclic:k, sym:k, dihedral:k."""
     spec = spec.strip()
     if spec == "trivial":
-        return group_from_table([[0]], max_order)
+        return group_from_table([[0]])
     m = re.fullmatch(r"(cyclic|sym|dihedral):(\d+)", spec)
     if not m:
         raise UnsupportedSpec(f"unknown group spec {spec!r}")
@@ -327,20 +327,19 @@ def builtin_group(spec: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
     if k < 1:
         raise UnsupportedSpec(f"{kind} parameter must be >= 1")
     if kind == "cyclic":
-        if k > max_order:
-            raise UnsupportedSpec(f"cyclic:{k} exceeds the order cap {max_order}")
-        return group_from_table([[(a + b) % k for b in range(k)] for a in range(k)],
-                                max_order)
+        if k > MAX_GROUP_ORDER:
+            raise UnsupportedSpec(f"cyclic:{k} exceeds the order cap {MAX_GROUP_ORDER}")
+        return group_from_table([[(a + b) % k for b in range(k)] for a in range(k)])
     if kind == "sym":
-        if math.factorial(k) > max_order:
-            raise UnsupportedSpec(f"sym:{k} has order {math.factorial(k)} > cap {max_order}")
-        return group_from_table(_sym_table(k), max_order)
-    if 2 * k > max_order:
-        raise UnsupportedSpec(f"dihedral:{k} has order {2 * k} > cap {max_order}")
-    return group_from_table(_dihedral_table(k), max_order)
+        if math.factorial(k) > MAX_GROUP_ORDER:
+            raise UnsupportedSpec(f"sym:{k} has order {math.factorial(k)} > cap {MAX_GROUP_ORDER}")
+        return group_from_table(_sym_table(k))
+    if 2 * k > MAX_GROUP_ORDER:
+        raise UnsupportedSpec(f"dihedral:{k} has order {2 * k} > cap {MAX_GROUP_ORDER}")
+    return group_from_table(_dihedral_table(k))
 
 
-def group_from_json(obj, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
+def group_from_json(obj) -> FiniteGroup:
     """Build a group from the file format {"order", "table", ["characters"]};
     a "characters" matrix must equal the computed table up to row order."""
     if not isinstance(obj, dict) or "table" not in obj:
@@ -348,7 +347,7 @@ def group_from_json(obj, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
     table = obj["table"]
     if "order" in obj and int(obj["order"]) != len(table):
         raise UnsupportedSpec(f"declared order {obj['order']} != table size {len(table)}")
-    G = group_from_table(table, max_order)
+    G = group_from_table(table)
     if "characters" in obj:
         given = CharacterTable(G, [[complex(re_im[0], re_im[1]) for re_im in row]
                                    for row in obj["characters"]])
@@ -358,13 +357,13 @@ def group_from_json(obj, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
     return G
 
 
-def resolve_group(spec: str, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
+def resolve_group(spec: str) -> FiniteGroup:
     """Resolve a CLI group argument: builtin spec string or JSON file path."""
     if spec == "trivial" or re.fullmatch(r"(cyclic|sym|dihedral):\d+", spec.strip()):
-        return builtin_group(spec, max_order)
+        return builtin_group(spec)
     try:
         with open(spec) as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise UnsupportedSpec(f"not a builtin spec and not a readable file: {spec} ({exc})")
-    return group_from_json(obj, max_order)
+    return group_from_json(obj)

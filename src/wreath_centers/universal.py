@@ -9,7 +9,8 @@ and the finite-n structure coefficients are recovered from them as
 
 for proper families, where Gamma^j adds j extra 1-parts at the identity
 class.  structure_polynomials reads that right-hand side off the keys
-of k_vector.
+of k_vector, and polynomiality_checks compares it with
+center.product_classes.
 
 k_vector computes every k of a pair from one stream of partial
 permutations.  Conjugating the other factor by a permutation that fixes
@@ -48,6 +49,7 @@ __all__ = [
     "PolynomialInN",
     "structure_polynomial",
     "structure_polynomials",
+    "polynomiality_checks",
     "verify_polynomiality",
 ]
 
@@ -258,24 +260,42 @@ def structure_polynomial(lam, delta, gamma, G):
     return poly
 
 
+def polynomiality_checks(lam, delta, targets, G, n_range, cap):
+    """Yield (n, gamma, predicted, direct) for each n of n_range and then
+    each target gamma with |gamma| <= n: predicted is c_{lam delta}^gamma(n)
+    from structure_polynomials, 0 where gamma has no polynomial, and direct
+    is the coefficient of gamma padded to n in the one product_classes of
+    that n.  Every n must be at least max(|lam|, |delta|)."""
+    polys = structure_polynomials(lam, delta, G)
+    for n in n_range:
+        vec = product_classes(lam.pad(n), delta.pad(n), n, G, cap)
+        for gam in targets:
+            if gam.size <= n:
+                poly = polys.get(gam)
+                yield (n, gam, 0 if poly is None else poly.evaluate(n),
+                       vec.coeff(gam.pad(n)))
+
+
 def verify_polynomiality(lam, delta, gamma, G, n_range, cap=DEFAULT_CLASS_CAP):
     """Evaluate the polynomial against direct center computation for
     each n; returns {"rows": [...], "all_match": bool}."""
     poly = structure_polynomial(lam, delta, gamma, G)
-    rows = []
-    ok = True
-    for n in n_range:
-        predicted = poly.evaluate(n)
-        direct = product_classes(lam.pad(n), delta.pad(n), n, G,
-                                 cap).coeff(gamma.pad(n))
-        match = predicted == direct
-        ok = ok and match
-        rows.append({"n": n, "predicted": predicted, "direct": direct, "match": match})
+
+    def defined(ns):
+        # an n below poly.min_n raises ValueError before its product runs
+        for n in ns:
+            poly.evaluate(n)
+            yield n
+
+    rows = [{"n": n, "predicted": predicted, "direct": direct,
+             "match": predicted == direct}
+            for n, _, predicted, direct in polynomiality_checks(
+                lam, delta, (gamma,), G, defined(n_range), cap)]
     return {
         "lam": lam.to_json(),
         "delta": delta.to_json(),
         "gamma": gamma.to_json(),
         "polynomial": poly.to_json(),
         "rows": rows,
-        "all_match": ok,
+        "all_match": all(r["match"] for r in rows),
     }

@@ -6,9 +6,9 @@ left-to-right: (x y).perm sends i to y.perm[x.perm[i]], and the label at i
 is x.labels[y.perm^-1(i)] * y.labels[i].
 
 Conjugacy classes are indexed by families of partitions: the partition at
-class c collects the lengths of the cycles whose cycle product (labels
-multiplied from the last position of the cycle back to the first) lies in
-conjugacy class c of the label group.
+class c collects the lengths of the cycles whose cycle product (the labels
+multiplied in walk order: a position's label, then its image's, and so on
+round the cycle) lies in conjugacy class c of the label group.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ import itertools
 import math
 from typing import Iterator
 
-from .errors import NotACycle, PadTooSmall, SizeMismatch
+from .errors import PadTooSmall, SizeMismatch
 from .groups import FiniteGroup
 from .partitions import as_partition, partitions_of, z_of
 
 __all__ = [
     "PartitionFamily", "WreathElement", "families_of_size", "family_count",
     "families_up_to", "family_order",
-    "w_multiply", "w_inverse", "cycle_product", "type_of", "class_order",
+    "w_multiply", "w_inverse", "type_of", "class_order",
     "enumerate_class", "canonical_representative", "iter_class",
     "cycle_kinds", "structures", "label_tables",
 ]
@@ -254,30 +254,15 @@ def w_inverse(x: WreathElement, G: FiniteGroup) -> WreathElement:
     return WreathElement(labels, _perm_inverse(x.perm))
 
 
-def cycle_product(x: WreathElement, cycle, G: FiniteGroup) -> int:
-    """Conjugacy class of g_{i_1} g_{i_2} ... g_{i_r} along a cycle given 1-based.
-
-    The labels are multiplied in walk order.  With the product used here
-    (labels of x first, then labels of y at the arrival spots) this is
-    the orientation that conjugation actually preserves; the reverse
-    reading is only invariant when G is abelian or the cycle is short.
-    """
-    cyc = [i - 1 for i in cycle]
-    if len(set(cyc)) != len(cyc) or not cyc:
-        raise NotACycle(f"{cycle} has repeats or is empty")
-    for j, i in enumerate(cyc):
-        if not 0 <= i < x.n:
-            raise NotACycle(f"position {i + 1} outside [1, {x.n}]")
-        if x.perm[i] != cyc[(j + 1) % len(cyc)]:
-            raise NotACycle(f"{cycle} is not a cycle of the permutation")
-    acc = x.labels[cyc[0]]
-    for i in cyc[1:]:
-        acc = G.mul[acc][x.labels[i]]
-    return G.class_of[acc]
-
-
 def type_of(x: WreathElement, G: FiniteGroup) -> PartitionFamily:
-    """Conjugacy invariant: cycle lengths bucketed by cycle-product class."""
+    """Conjugacy invariant: cycle lengths bucketed by cycle-product class.
+
+    Along each cycle the labels are multiplied in walk order, g_i g_{p(i)}
+    g_{p(p(i))} ..., with p = x.perm.  With the product used here (labels
+    of x first, then labels of y at the arrival spots) this is the
+    orientation that conjugation preserves; the reverse reading is only
+    invariant when G is abelian or the cycle is short.
+    """
     seen = [False] * x.n
     buckets: dict[int, list] = {}
     mul = G.mul

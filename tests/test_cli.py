@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wreath_centers import cli
+from wreath_centers import cli, universal
 from wreath_centers.center import product_classes
 from wreath_centers.cli import main
 from wreath_centers.groups import builtin_group
@@ -156,14 +156,24 @@ def test_poly_latex_format():
 
 
 def test_verify_poly_and_workers():
+    """The sweep passes in-process; --workers is no longer an option."""
     args = ("--group", "cyclic:2", "verify-poly", "--size-cap", "2", "--n", "5")
-    one = run(*args, "--workers", "1")
-    two = run(*args, "--workers", "2")
-    assert one.returncode == 0, one.stderr
-    assert one.stdout == two.stdout
-    payload = json.loads(one.stdout)
+    r = run(*args)
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
     assert payload["pass"] is True
     assert payload["mismatches"] == []
+    assert run(*args, "--workers", "2").returncode == 2
+
+
+def test_cli_import_starts_no_process_machinery():
+    code = ("import sys, wreath_centers.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_verify_poly_single_triple():
@@ -322,8 +332,8 @@ def test_verify_poly_sweep_cap_checked_before_sweeping(monkeypatch, capsys):
     def refuse(*args, **kw):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(cli, "product_classes", refuse)
-    monkeypatch.setattr(cli, "structure_polynomials", refuse)
+    monkeypatch.setattr(universal, "product_classes", refuse)
+    monkeypatch.setattr(universal, "structure_polynomials", refuse)
     assert main(["--group", "cyclic:3", "verify-poly", "--size-cap", "4",
                  "--n", "8"]) == 5
     assert "11862968" in capsys.readouterr().err
@@ -340,8 +350,8 @@ def test_verify_poly_checks_counted_in_closed_form(monkeypatch, capsys, spec):
     """The closed-form count behind the verify-poly work check equals the
     sweep's own `checked`, with and without --samples.  The products and
     polynomials are stubbed to zero, so only the sweep's counting runs."""
-    monkeypatch.setattr(cli, "product_classes", lambda *a, **kw: _Zeros())
-    monkeypatch.setattr(cli, "structure_polynomials", lambda *a: {})
+    monkeypatch.setattr(universal, "product_classes", lambda *a, **kw: _Zeros())
+    monkeypatch.setattr(universal, "structure_polynomials", lambda *a: {})
     G = builtin_group(spec)
     for size_cap, n, samples in itertools.product(
             (0, 1, 2), (0, 2, 4), (None, 0, 1, 5)):
@@ -395,7 +405,7 @@ def test_env_config_and_override(tmp_path):
              env_extra={"WREATH_CENTERS_CONFIG": str(cfg)})
     assert json.loads(r2.stdout)["order"] == 2
     bad = tmp_path / "bad.json"
-    for obj in ({"grup": "cyclic:3"}, {"tolerance": "1e-6"}):
+    for obj in ({"grup": "cyclic:3"}, {"tolerance": "1e-6"}, {"workers": 2}):
         bad.write_text(json.dumps(obj))
         assert run("group-info",
                    env_extra={"WREATH_CENTERS_CONFIG": str(bad)}).returncode == 2

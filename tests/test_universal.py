@@ -1,4 +1,5 @@
 """Universal (n-independent) structure coefficients and polynomiality."""
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -97,15 +98,40 @@ def test_filtration_window(z2):
             assert k_coeff(lam, delta, gamma, z2) == 0, gamma
 
 
-def test_k_symmetric_for_commuting_semigroup(z3):
-    fams = [f for f in families_up_to(2, 3) if f.size]
-    for lam in fams:
-        for delta in fams:
-            for gamma in families_up_to(lam.size + delta.size, 3):
-                if gamma.size < max(lam.size, delta.size):
-                    continue
-                assert k_coeff(lam, delta, gamma, z3) \
-                    == k_coeff(delta, lam, gamma, z3)
+def test_k_symmetric_for_commuting_semigroup(z3, s3):
+    """The class-sum product is commutative on non-abelian G too: every
+    k-vector of a pair of nonempty families of size <= 2 equals the
+    k-vector of the swapped pair."""
+    for G in (z3, s3, builtin_group("dihedral:4")):
+        fams = [f for f in families_up_to(2, G.num_classes) if f.size]
+        for lam in fams:
+            for delta in fams:
+                assert dict(k_vector(lam, delta, G)) \
+                    == dict(k_vector(delta, lam, G)), (G, lam, delta)
+
+
+def _k_product(u, v, G):
+    """(sum_a u[a] C_a)(sum_b v[b] C_b) as {Gamma: coefficient}, every
+    product of two class sums read from k_vector."""
+    out = Counter()
+    for a, x in u.items():
+        for b, y in v.items():
+            for gam, k in k_vector(a, b, G).items():
+                out[gam] += x * y * k
+    return dict(out)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2", "sym:3", "dihedral:4"])
+def test_k_product_associative(spec):
+    """(C_a C_b) C_c = C_a (C_b C_c) exactly, on 40 seeded triples of
+    nonempty families of size <= 2."""
+    G = builtin_group(spec)
+    fams = [f for f in families_up_to(2, G.num_classes) if f.size]
+    rng = random.Random(0)
+    for _ in range(40):
+        a, b, c = ({rng.choice(fams): 1} for _ in range(3))
+        assert _k_product(_k_product(a, b, G), c, G) \
+            == _k_product(a, _k_product(b, c, G), G), (a, b, c)
 
 
 def test_structure_polynomial_shape(triv):
@@ -189,6 +215,12 @@ def test_evaluate_below_min_n(z2):
     assert poly.min_n == 4
     with pytest.raises(ValueError):
         poly.evaluate(3)
+    # verify_polynomiality refuses n = 3 before its product runs, so the
+    # cap of 1 is never met
+    with pytest.raises(ValueError):
+        verify_polynomiality(PartitionFamily({1: (2,)}),
+                             PartitionFamily({1: (2,)}),
+                             PartitionFamily({1: (2, 2)}), z2, range(3, 6), 1)
 
 
 def test_verify_polynomiality(z2):

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from wreath_centers.errors import NotACycle, PadTooSmall, SizeMismatch
+from wreath_centers.errors import PadTooSmall, SizeMismatch
 from wreath_centers.groups import builtin_group
 from wreath_centers.kernels import decode_type_key, encode_type_key
 from wreath_centers.partial import GPartialPermutation, pp_type
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, canonical_representative, class_order,
-    cycle_product, enumerate_class, families_of_size, families_up_to,
+    enumerate_class, families_of_size, families_up_to,
     family_count, family_order, type_of, w_inverse, w_multiply,
 )
 
@@ -63,23 +63,6 @@ def test_type_worked_example(z3):
                       (3, 4, 2, 0, 1, 5, 7, 8, 9, 6))
     fam = type_of(x, z3)
     assert fam == PartitionFamily({0: (2,), 1: (4, 2, 1), 2: (1,)})
-    # per-cycle products, 1-based cycles
-    assert cycle_product(x, (1, 4), z3) == 1
-    assert cycle_product(x, (2, 5), z3) == 0
-    assert cycle_product(x, (3,), z3) == 2
-    assert cycle_product(x, (7, 8, 9, 10), z3) == 1
-
-
-def test_cycle_product_rejects_non_cycles(z3):
-    x = WreathElement((0, 0, 0), (1, 0, 2))
-    with pytest.raises(NotACycle):
-        cycle_product(x, (1, 3), z3)
-    with pytest.raises(NotACycle):
-        cycle_product(x, (), z3)
-    with pytest.raises(NotACycle):
-        cycle_product(x, (1, 1), z3)
-    with pytest.raises(NotACycle):
-        cycle_product(x, (4,), z3)
 
 
 def test_type_is_conjugation_invariant(s3):
