@@ -15,6 +15,11 @@ L-rotation and label-product class; it is rebuilt as canonical_representative
 lays cycles out and solved once per call.  The cycles of a spec longer
 than 1 go in every order, so counts are divided by the product of their
 count!.  Types add as integers, one byte per (class, length) slot.
+
+A label may also be absent (index G.order, class G.num_classes): an
+identity adjoined to G for a point outside a partial permutation's
+support.  It sits on fixed points of w and z only, so an absent tau-cycle
+is one position; u is absent only where w and z are, and keys leave it out.
 """
 
 from itertools import combinations, permutations, product
@@ -26,15 +31,20 @@ __all__ = ["type_histogram"]
 
 
 def type_histogram(G, fam, z):
-    mul, cls_of = G.mul, G.class_of
-    reps = [members[0] for members in G.classes]
+    ncls = G.num_classes
+    # G with the absent identity adjoined as label G.order, class ncls
+    absent = G.order
+    mul = [row + (a,) for a, row in enumerate(G.mul)] + [tuple(range(absent + 1))]
+    cls_of = G.class_of + (ncls,)
+    reps = [members[0] for members in G.classes] + [absent]
     cols = list(zip(*mul))  # cols[h][a] = a h
     width = fam.size + 1
     kinds = cycle_kinds(fam)
     specs = [spec for spec, _ in kinds]
-    # row[-1], the identity, is read at the positions off the placed cycle
-    tables = {spec: [row + (0,) for row in rows]
-              for spec, rows in label_tables(kinds, G).items()}
+    # row[-1], the absent identity, is read at the positions off the placed cycle
+    tables = {spec: [row + (absent,) for row in rows] for spec, rows in
+              label_tables([kind for kind in kinds if kind[0][1] < ncls], G).items()}
+    tables[1, ncls] = [(absent, absent)]
     # the labels of each fixed-point spec; a central class has one
     fixed = {k: [row[0] for row in tables[spec]]
              for k, spec in enumerate(specs) if spec[0] == 1}
@@ -48,15 +58,6 @@ def type_histogram(G, fam, z):
         live = [k for k, count in enumerate(left) if count]
         if not live:
             return {0: 1}
-        if len(live) == 1 and live[0] in central:
-            # the spread below, with one label a for every position left
-            a, total = central[live[0]], 0
-            for ls, c in cycles:
-                acc = reps[c]
-                for _ in ls:
-                    acc = mul[a][acc]
-                total += 1 << 8 * (cls_of[acc] * width + sum(ls))
-            return {total: 1}
         step = spread if all(k in central for k in live) else place
         out = memo[key] = {}
         for (closed, child), count in step(left, cycles, live).items():
@@ -143,7 +144,7 @@ def type_histogram(G, fam, z):
             for row in rows:
                 classes = []
                 for word in words:
-                    acc = 0
+                    acc = absent
                     for s, col in word:
                         acc = mul[acc][col[row[s]]]
                     classes.append(cls_of[acc])
@@ -163,13 +164,14 @@ def type_histogram(G, fam, z):
     # z's cycles, each with the class of its label product
     cycles, seen = [], set()
     for j in range(fam.size):
-        acc, ls = 0, ()
+        acc, ls = absent, ()
         while j not in seen:
             seen.add(j)
             acc, ls, j = mul[acc][z.labels[j]], ls + (1,), z.perm[j]
         if ls:
             cycles.append((ls, cls_of[acc]))
     over = prod(factorial(count) for k, count in enumerate(left) if k not in fixed)
-    size = G.num_classes * width
-    return {k.to_bytes(size, "little"): v // over
+    # the slots past the last class hold the absent fixed points of u
+    size = ncls * width
+    return {k.to_bytes(size + width, "little")[:size]: v // over
             for k, v in solve((left, tuple(sorted(cycles)))).items()}

@@ -15,7 +15,7 @@ from .errors import CapExceeded, SizeMismatch
 from .kernels import decode_type_key, type_histogram
 from .wreath import canonical_representative, class_order
 
-__all__ = ["AlgebraVector", "product_classes", "DEFAULT_CLASS_CAP"]
+__all__ = ["AlgebraVector", "product_classes", "divide_histogram", "DEFAULT_CLASS_CAP"]
 
 DEFAULT_CLASS_CAP = 5_000_000
 
@@ -82,12 +82,18 @@ def product_classes(lam, delta, n, G, cap=DEFAULT_CLASS_CAP):
     else:
         fixed, streamed, factor = delta, lam, size_d
     hist = type_histogram(G, streamed, canonical_representative(fixed, n, G))
-    ncls = G.num_classes
+    return AlgebraVector(n, divide_histogram(
+        hist, n, G, factor, lambda gam: class_order(gam, G)[1]))
+
+
+def divide_histogram(hist, n, G, factor, class_size):
+    """{Gamma: factor * count / class_size(Gamma)} over a type histogram
+    keyed with width n + 1; each division is exact (asserted)."""
     terms = {}
     for key, cnt in hist.items():
-        gam = decode_type_key(key, n, ncls)
+        gam = decode_type_key(key, n, G.num_classes)
         total = factor * cnt
-        csize = class_order(gam, G)[1]
+        csize = class_size(gam)
         assert total % csize == 0, "class-constancy violated"
         terms[gam] = total // csize
-    return AlgebraVector(n, terms)
+    return terms

@@ -90,8 +90,10 @@ def _fill_settings(args):
     if args.format not in _FORMATS:
         raise UsageError(f"format must be one of {_FORMATS}")
     for k in ("cap_class_size", "max_n", "max_total_size"):
-        if not isinstance(getattr(args, k), int) or getattr(args, k) < 1:
+        if type(getattr(args, k)) is not int or getattr(args, k) < 1:
             raise UsageError(f"{k} must be a positive integer")
+    if not isinstance(args.group, (str, dict)):
+        raise UsageError("group must be a spec string or a table object")
     if (not isinstance(args.tolerance, (int, float))
             or not 0 < args.tolerance <= 1e-3):
         raise UsageError("tolerance must lie in (0, 1e-3]")
@@ -129,7 +131,7 @@ def _parse_family(text, G, what):
                 f"--{what}: class id {idx} out of range "
                 f"(group has {G.num_classes} classes)")
         if not isinstance(parts, list) or not all(
-                isinstance(p, int) and p >= 1 for p in parts):
+                type(p) is int and p >= 1 for p in parts):
             raise UsageError(f"--{what}: parts for class {idx} must be "
                              "a list of positive integers")
         items[idx] = tuple(parts)
@@ -411,13 +413,13 @@ def cmd_ccoeff(G, args):
 
 def _k_pair(G, args):
     """--lam/--del of kcoeff, poly and single-mode verify-poly, refused
-    before anything streams: k_vector streams the side with the smaller
-    k_stream_size."""
+    before anything streams when the smaller k_stream_size of the two
+    sides is above the cap."""
     lam = _parse_family(args.lam, G, "lam")
     delta = _parse_family(args.delta, G, "del")
     _cap_total("|lam|+|del|", lam.size + delta.size, args)
-    streamed = min(k_stream_size(lam, delta, G), k_stream_size(delta, lam, G))
-    _cap(streamed, f"k stream has {streamed} elements", args)
+    weight = min(k_stream_size(lam, delta, G), k_stream_size(delta, lam, G))
+    _cap(weight, f"the pair weighs {weight} by k_stream_size", args)
     return lam, delta
 
 

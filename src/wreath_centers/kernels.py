@@ -7,6 +7,9 @@ same byte layout, so results are interchangeable.  They share no
 algorithm (the compiled one streams the class, the pure-Python one
 contracts placed cycles and memoizes the remainders), so comparing them
 is a real cross-check.
+
+partial_type_histogram writes partial permutations with absent points,
+which only the pure-Python kernel reads, on either backend.
 """
 
 import os
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 from . import _fallback
 from .errors import Overflow, SizeMismatch
-from .wreath import PartitionFamily, cycle_kinds
+from .wreath import PartitionFamily, WreathElement, canonical_representative, cycle_kinds
 
 try:
     from . import _speedups
@@ -25,6 +28,7 @@ __all__ = [
     "BACKEND",
     "available_backends",
     "type_histogram",
+    "partial_type_histogram",
     "encode_type_key",
     "decode_type_key",
 ]
@@ -56,7 +60,8 @@ def encode_type_key(fam, n, ncls):
 
 
 def decode_type_key(key, n, ncls):
-    """The family of total size n that encode_type_key packed into key."""
+    """The family that encode_type_key packed into key with width n + 1;
+    its size, at most n, is the sum of its parts."""
     width = n + 1
     entries = []
     for c in range(ncls):
@@ -65,7 +70,8 @@ def decode_type_key(key, n, ncls):
             parts.extend([length] * key[c * width + length])
         if parts:
             entries.append((c, tuple(parts)))
-    return PartitionFamily._of(tuple(entries), "class", n)
+    return PartitionFamily._of(tuple(entries), "class",
+                               sum([sum(parts) for _, parts in entries]))
 
 
 @lru_cache(maxsize=32)
@@ -111,3 +117,21 @@ def type_histogram(G, fam, z, backend=None):
     if name == "python":
         return _fallback.type_histogram(G, fam, z)
     raise ValueError("unknown backend %r" % (name,))
+
+
+def partial_type_histogram(G, streamed, fixed):
+    """type_histogram in P^G_N, N = |fixed| + |streamed|: the class of
+    `streamed` times the canonical element of `fixed` on {1..f}.  A point
+    outside a support is absent (label G.order, class G.num_classes): z
+    gets absent labels after its f points and the family f absent fixed
+    points, and the product's absent points are left out of the keys.
+    The pure-Python kernel is called directly, on either backend, so no
+    caller of type_histogram meets the absent class."""
+    f, k = fixed.size, streamed.size
+    if f + k > _MAX_N:
+        raise Overflow("N=%d exceeds the packed-key limit %d" % (f + k, _MAX_N))
+    z = canonical_representative(fixed, f + k, G)
+    z = WreathElement(z.labels[:f] + (G.order,) * k, z.perm)
+    absent = ((G.num_classes, (1,) * f),) if f else ()
+    fam = PartitionFamily._of(streamed.entries + absent, "class", f + k)
+    return _fallback.type_histogram(G, fam, z)

@@ -12,33 +12,23 @@ class.  structure_polynomials reads that right-hand side off the keys
 of k_vector, and polynomiality_checks compares it with
 center.product_classes.
 
-k_vector computes every k of a pair from one stream of partial
-permutations.  Conjugating the other factor by a permutation that fixes
-the support of one factor leaves the type of their product unchanged,
-so with that factor fixed on {1..f} only one support per orbit of the
-other factor's supports is streamed, weighted by the orbit size;
-k_stream_size counts that stream in closed form, and the command line
-weighs its cap with it.
+k_vector computes every k of a pair as center.product_classes does a
+center product, through kernels.partial_type_histogram and
+center.divide_histogram; k_stream_size weighs it for the command line.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 from types import MappingProxyType
 
-from .center import DEFAULT_CLASS_CAP, product_classes
+from .center import DEFAULT_CLASS_CAP, divide_histogram, product_classes
 from .errors import GuardrailExceeded, NotProper
+from .kernels import partial_type_histogram
 from .partial import (
-    GPartialPermutation,
-    canonical_partial_representative,
-    class_size_partial,
-    enumerate_partial_class,
-    pp_multiply,
-    pp_type,
-)
-from .wreath import class_order, family_order, iter_class
+    canonical_partial_representative, class_size_partial, enumerate_partial_class,
+    pp_multiply)
+from .wreath import class_order, family_order
 
 __all__ = [
     "k_stream_size",
@@ -58,10 +48,10 @@ ORACLE_MAX_GROUP_ORDER = 3
 
 
 def k_stream_size(streamed, fixed, G):
-    """Elements k_vector streams when it fixes `fixed` and streams
-    `streamed`: one support per orbit, sum_{i <= min(f, k)} binom(f, i)
-    of them for f = |fixed|, k = |streamed|, each carrying the
-    class_order(streamed) elements of that type on it."""
+    """The closed-form weight of k_vector fixing `fixed` and streaming
+    `streamed`, which the command line caps: class_order(streamed) times
+    sum_{i <= min(f, k)} binom(f, i), the supports of size k = |streamed|
+    in [f + k] up to the permutations that fix {1..f}, f = |fixed|."""
     f, k = fixed.size, streamed.size
     return class_order(streamed, G)[1] * sum(
         comb(f, i) for i in range(min(f, k) + 1))
@@ -74,48 +64,22 @@ def k_vector(lam, delta, G):
 
     Inside P^G_N with N = |lam|+|delta| every product type fits, and
     C_{lam;N} C_{delta;N} = sum_Gamma k^Gamma C_{Gamma;N}.  As in
-    center.product_classes, one factor is fixed at its canonical element,
-    the other class is streamed once, and the product types are
-    histogrammed: k^Gamma = |C_fixed;N| * h[Gamma] / |C_{Gamma;N}|
-    (exact, asserted).  The fixed element has support {1..f}, so the
-    permutations of the other k = N - f points fix it and keep every
-    product type: a streamed support T counts for its whole orbit.  The
-    orbit of T is set by head = T & {1..f}; its representative is
-    head | {f+1..f+m} with m = k - |head|, and it holds binom(k, m)
-    supports.  Only the representatives are streamed, each product type
-    weighted by its orbit size; the side streamed is the one with the
-    smaller k_stream_size (delta on a tie).
+    center.product_classes, one factor is fixed, the product types with
+    the other class are histogrammed, and
+    k^Gamma = |C_fixed;N| * h[Gamma] / |C_{Gamma;N}|.  The side streamed
+    is the one with the smaller k_stream_size (delta on a tie).
     """
     if k_stream_size(delta, lam, G) <= k_stream_size(lam, delta, G):
         fixed, streamed = lam, delta
-        x0 = canonical_partial_representative(lam, G)
-        mult = lambda y: pp_multiply(x0, y, G)
     else:
         fixed, streamed = delta, lam
-        y0 = canonical_partial_representative(delta, G)
-        mult = lambda x: pp_multiply(x, y0, G)
-    f, k = fixed.size, streamed.size
-    N = f + k
-    hist = Counter()
-    for m in range(max(0, k - f), k + 1):
-        tail = tuple(range(f + 1, f + m + 1))
-        supports = (head + tail
-                    for head in combinations(range(1, f + 1), k - m))
-        reps = Counter(
-            pp_type(mult(GPartialPermutation._of(sup, omega, labels)), G)
-            for sup, omega, labels in iter_class(streamed, supports, G))
-        # each representative with m tail points stands for binom(k, m)
-        weight = comb(k, m)
-        for gam, c in reps.items():
-            hist[gam] += weight * c
-    factor = class_size_partial(fixed, N, G)
-    out = {}
-    for gam in sorted(hist, key=family_order(G.num_classes)):
-        total = factor * hist[gam]
-        csize = class_size_partial(gam, N, G)
-        assert total % csize == 0, "class-constancy violated"
-        out[gam] = total // csize
-    return MappingProxyType(out)
+    N = lam.size + delta.size
+    terms = divide_histogram(
+        partial_type_histogram(G, streamed, fixed), N, G,
+        class_size_partial(fixed, N, G),
+        lambda gam: class_size_partial(gam, N, G))
+    return MappingProxyType(
+        {gam: terms[gam] for gam in sorted(terms, key=family_order(G.num_classes))})
 
 
 def k_coeff(lam, delta, gamma, G):

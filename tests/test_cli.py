@@ -217,6 +217,15 @@ def test_exit_usage_errors():
                "--lam", '{"9": [1]}', "--del", "{}").returncode == 2
 
 
+@pytest.mark.parametrize("parts", ["[true]", "[2, false]", "[1.0]", "[0]", "1"])
+def test_family_parts_must_be_positive_integers(capsys, parts):
+    """A part that is not a positive int, a JSON boolean included, is a
+    usage error, not read as the part 1 or 0."""
+    assert main(["--group", "cyclic:2", "kcoeff", "--lam", '{"1": %s}' % parts,
+                 "--del", '{"1": [1]}']) == 2
+    assert "must be a list of positive integers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["--group", "cyclic:2", "classes", "--n", "-1"],
     ["--group", "cyclic:2", "enumerate-partial", "--n", "-2"],
@@ -293,10 +302,10 @@ def test_verify_iso_cap_weighs_each_check_by_point_size(monkeypatch, capsys):
 
 
 def test_k_path_cap_checked_before_streaming(monkeypatch, capsys):
-    """kcoeff and poly weigh the k stream by k_stream_size, one support
-    per orbit: sym:3 (6)^1 x (6)^1 streams 119,439,360 elements, above
-    the default cap, and cyclic:3 (6)^1 x (6)^1 streams 1,866,240, above
-    a cap of 1,000,000; each is refused before anything streams."""
+    """kcoeff and poly weigh the pair by k_stream_size: sym:3
+    (6)^1 x (6)^1 weighs 119,439,360, above the default cap, and
+    cyclic:3 (6)^1 x (6)^1 weighs 1,866,240, above a cap of 1,000,000;
+    each is refused before anything streams."""
     def refuse(*args, **kw):
         raise AssertionError("the k stream started")
 
@@ -312,8 +321,8 @@ def test_k_path_cap_checked_before_streaming(monkeypatch, capsys):
 
 
 def test_verify_poly_single_cap_checked_before_streaming(monkeypatch, capsys):
-    """Single-mode verify-poly weighs the k stream as kcoeff does:
-    cyclic:3 (5)^1 x (5)^1 streams 62,208 elements, above a cap of 1,000,
+    """Single-mode verify-poly weighs the pair as kcoeff does:
+    cyclic:3 (5)^1 x (5)^1 weighs 62,208, above a cap of 1,000,
     so it is refused before the polynomial or any product is computed."""
     def refuse(*args, **kw):
         raise AssertionError("the k stream started")
@@ -405,10 +414,13 @@ def test_env_config_and_override(tmp_path):
              env_extra={"WREATH_CENTERS_CONFIG": str(cfg)})
     assert json.loads(r2.stdout)["order"] == 2
     bad = tmp_path / "bad.json"
-    for obj in ({"grup": "cyclic:3"}, {"tolerance": "1e-6"}, {"workers": 2}):
+    for obj in ({"grup": "cyclic:3"}, {"tolerance": "1e-6"}, {"workers": 2},
+                {"group": 5}, {"group": ["x"]}, {"cap_class_size": True},
+                {"max_n": True}, {"max_total_size": True}):
         bad.write_text(json.dumps(obj))
-        assert run("group-info",
-                   env_extra={"WREATH_CENTERS_CONFIG": str(bad)}).returncode == 2
+        r = run("group-info", env_extra={"WREATH_CENTERS_CONFIG": str(bad)})
+        assert r.returncode == 2, obj
+        assert r.stderr.startswith("error: "), obj
 
 
 def test_parser_built_once_and_reused(monkeypatch, capsys, tmp_path):

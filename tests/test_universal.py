@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from wreath_centers import universal
+from wreath_centers import kernels
 from wreath_centers.errors import GuardrailExceeded, NotProper
 from wreath_centers.groups import builtin_group, group_from_table
 from wreath_centers.partial import (
@@ -17,8 +17,7 @@ from wreath_centers.universal import (
     PolynomialInN, k_coeff, k_coeff_oracle, k_stream_size, k_vector,
     structure_polynomial, structure_polynomials, verify_polynomiality,
 )
-from wreath_centers.wreath import (
-    PartitionFamily, families_up_to, family_order, iter_class)
+from wreath_centers.wreath import PartitionFamily, families_up_to, family_order
 
 
 def test_k_matches_oracle_small(z2, z3, triv):
@@ -267,9 +266,10 @@ def test_polynomial_json(z2):
 
 
 def _k_by_every_support(lam, delta, G):
-    """The k-vector without the orbit reduction: lam fixed at its
-    canonical element, every element of C_{delta;N} on every support of
-    [N] multiplied by it, product types histogrammed and divided."""
+    """The k-vector by an independent route: lam fixed at its canonical
+    partial permutation, every element of C_{delta;N} on every support
+    of [N] multiplied by it with pp_multiply, product types
+    histogrammed with pp_type and divided."""
     N = lam.size + delta.size
     x0 = canonical_partial_representative(lam, G)
     hist = Counter(pp_type(pp_multiply(x0, y, G), G)
@@ -283,12 +283,13 @@ def _k_by_every_support(lam, delta, G):
     return out
 
 
-@pytest.mark.parametrize("spec", ["sym:3", "dihedral:4"])
+@pytest.mark.parametrize("spec", ["cyclic:3", "sym:3", "dihedral:4"])
 def test_k_vector_equals_every_support_listing(spec):
-    """One support per orbit, weighted by the orbit size, gives the
-    k-vector of the full listing, values and key order, on non-abelian
-    G: every ordered pair of families of size <= 2, non-proper ones and
-    the empty family included."""
+    """The contraction kernel over G and the absent points gives the
+    k-vector of the full listing, values and key order: every ordered
+    pair of families of size <= 2, non-proper ones and the empty family
+    included, on non-abelian G and on cyclic:3, where absent labels and
+    central labels are spread together."""
     G = builtin_group(spec)
     fams = list(families_up_to(2, G.num_classes))
     assert any(not f.is_proper() for f in fams)
@@ -299,37 +300,30 @@ def test_k_vector_equals_every_support_listing(spec):
                 (lam, delta)
 
 
-def test_k_stream_size_counts_the_streamed_elements(monkeypatch):
-    """k_stream_size is the number of elements k_vector streams, and
-    k_vector streams the side with the smaller count."""
-    streamed = []
-
-    def counting(fam, supports, G):
-        for element in iter_class(fam, supports, G):
-            streamed.append(fam)
-            yield element
-
-    monkeypatch.setattr(universal, "iter_class", counting)
-    for spec, cap in (("trivial", 4), ("cyclic:3", 2), ("sym:3", 2),
-                      ("dihedral:4", 2)):
-        G = builtin_group(spec)
-        fams = list(families_up_to(cap, G.num_classes))
-        for lam in fams[::3]:
-            for delta in fams[1::2]:
-                streamed.clear()
-                k_vector.__wrapped__(lam, delta, G)
-                assert len(streamed) == min(k_stream_size(lam, delta, G),
-                                            k_stream_size(delta, lam, G))
-    # |lam| = 4 against |delta| = 1 on the trivial group: delta streams
-    # one element on each of 1 + 4 supports, lam its six 4-cycles on
-    # each of 2 supports
+def test_k_stream_size_counts_the_streamed_elements():
+    """k_stream_size, the weight the command line caps k_vector by, in
+    closed form: |lam| = 4 against |delta| = 1 on the trivial group
+    weighs delta's one element on each of 1 + 4 supports, lam its six
+    4-cycles on each of 2 supports."""
     lam, delta = PartitionFamily({0: (4,)}), PartitionFamily({0: (1,)})
     triv = builtin_group("trivial")
     assert k_stream_size(delta, lam, triv) == 5
     assert k_stream_size(lam, delta, triv) == 6 * 2
-    streamed.clear()
-    k_vector.__wrapped__(lam, delta, triv)
-    assert streamed == [delta] * 5
+
+
+def test_k_vector_runs_the_python_kernel_on_either_backend(monkeypatch):
+    """k_vector reads absent points, which only the pure-Python kernel
+    knows, so it gives the same vectors when the compiled backend is the
+    selected one."""
+    pairs = [(lam, delta, G)
+             for G in map(builtin_group, ("cyclic:3", "sym:3"))
+             for lam in list(families_up_to(2, G.num_classes))[::2]
+             for delta in list(families_up_to(2, G.num_classes))[1::3]]
+    want = [list(k_vector.__wrapped__(*pair).items()) for pair in pairs]
+    monkeypatch.setattr(kernels, "BACKEND", "cython")
+    monkeypatch.setattr(kernels, "_speedups", None)
+    assert [list(k_vector.__wrapped__(*pair).items())
+            for pair in pairs] == want
 
 
 def _q8():
