@@ -13,6 +13,7 @@ import json
 import math
 import operator
 import re
+from functools import lru_cache
 
 from .errors import (DiagonalizationFailed, NoIdentity, NotAssociative,
                      NotBijectiveRow, UnsupportedSpec)
@@ -339,6 +340,11 @@ def builtin_group(spec: str) -> FiniteGroup:
     return group_from_table(_dihedral_table(k))
 
 
+@lru_cache(maxsize=32)
+def _cached_builtin_group(spec: str) -> FiniteGroup:
+    return builtin_group(spec)
+
+
 def group_from_json(obj) -> FiniteGroup:
     """Build a group from the file format {"order", "table", ["characters"]};
     a "characters" matrix must equal the computed table up to row order."""
@@ -358,9 +364,12 @@ def group_from_json(obj) -> FiniteGroup:
 
 
 def resolve_group(spec: str) -> FiniteGroup:
-    """Resolve a CLI group argument: builtin spec string or JSON file path."""
+    """Resolve a CLI group argument: builtin spec string or JSON file path.
+
+    A builtin spec resolves to the same group object each time, with the
+    character table it has computed; a file is read again each time."""
     if spec == "trivial" or re.fullmatch(r"(cyclic|sym|dihedral):\d+", spec.strip()):
-        return builtin_group(spec)
+        return _cached_builtin_group(spec.strip())
     try:
         with open(spec) as fh:
             obj = json.load(fh)

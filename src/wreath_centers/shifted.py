@@ -123,17 +123,29 @@ class CharacterCalculator:
     def __init__(self, G):
         self.G = G
         self.chars = G.character_table()
-        self._expansions = BoundedCache(4096)
+        self._terms = BoundedCache(4096)
         self._x_cache = BoundedCache(4096)
 
     def expand_class_family(self, fam):
         """P_fam in the character-alphabet basis: {char family: coeff}."""
-        hit = self._expansions.get(fam)
+        rows = self.chars.rows
+        states = _expand(fam, len(rows), lambda c, g: rows[g][c].conjugate())
+        return _states_to_terms(states, "char")
+
+    def conjugate_terms(self, fam):
+        """The terms of expand_class_family(fam) in its order, as (char
+        family, conjugate coefficient) pairs, and the same terms grouped
+        by _sizes of their family, as (partitions of the non-empty
+        alphabets, conjugate coefficient) pairs."""
+        hit = self._terms.get(fam)
         if hit is None:
-            rows = self.chars.rows
-            states = _expand(fam, len(rows), lambda c, g: rows[g][c].conjugate())
-            hit = _states_to_terms(states, "char")
-            self._expansions[fam] = hit
+            terms = [(m, complex(c).conjugate())
+                     for m, c in self.expand_class_family(fam).items()]
+            by_size = {}
+            for m, cc in terms:
+                by_size.setdefault(_sizes(m), []).append(
+                    (tuple(parts for _, parts in m.entries), cc))
+            hit = self._terms[fam] = (terms, by_size)
         return hit
 
     def x_value(self, lam, delta):
@@ -145,36 +157,36 @@ class CharacterCalculator:
         hit = self._x_cache.get(key)
         if hit is not None:
             return hit
-        total = 0.0 + 0.0j
-        for mfam, c in self.expand_class_family(delta).items():
+        # a term contracts to zero unless each alphabet holds as many
+        # boxes as lam holds there, so only terms of lam's sizes are read
+        _, by_size = self.conjugate_terms(delta)
+        lparts = tuple(parts for _, parts in lam.entries)
+        total = 0j
+        for parts, cc in by_size.get(_sizes(lam), ()):
             prod = 1
-            for g, parts in mfam.entries:
-                lpart = lam.get(g)
-                if sum(lpart) != sum(parts):
-                    prod = 0
-                    break
-                prod *= mn_character(lpart, parts)
-            else:
-                # alphabets where mfam is empty need lam empty there too
-                midx = {g for g, _ in mfam.entries}
-                for g, lpart in lam.entries:
-                    if g not in midx and lpart:
-                        prod = 0
-                        break
+            for lpart, mpart in zip(lparts, parts):
+                prod *= mn_character(lpart, mpart)
             if prod:
-                total += complex(c).conjugate() * prod
+                total += cc * prod
         self._x_cache[key] = total
         return total
 
     def dim(self, lam):
-        """Degree of the irreducible indexed by lam (a positive integer)."""
-        n = lam.size
-        ident = PartitionFamily._of(((0, (1,) * n),) if n else (), "class", n)
-        val = self.x_value(lam, ident)
-        d = round(val.real)
-        if abs(val - d) > 1e-9 * max(1.0, abs(val)) or d <= 0:
-            raise ValueError("dimension of %r not a positive integer: %r" % (lam, val))
-        return d
+        """Degree of the irreducible indexed by lam:
+        |lam|! prod_gamma dim(lam(gamma)) (dim gamma)^{|lam(gamma)|}
+        / |lam(gamma)|!."""
+        degrees = self.chars.degrees
+        num, den = factorial(lam.size), 1
+        for g, parts in lam.entries:
+            size = sum(parts)
+            num *= dim_partition(parts) * degrees[g] ** size
+            den *= factorial(size)
+        return num // den
+
+
+def _sizes(fam):
+    """((alphabet, size), ...) over the non-empty alphabets of fam."""
+    return tuple((i, sum(parts)) for i, parts in fam.entries)
 
 
 @lru_cache(maxsize=8)
@@ -183,15 +195,23 @@ def get_calculator(G):
 
 
 @lru_cache(maxsize=4096)
-def p_sharp_eval(delta, lam):
-    """p#_delta(lam) = (|lam| falling |delta|) / dim lam * chi^lam at
-    delta padded with 1-parts; 0 when |lam| < |delta|.  Exact."""
+def _p_sharp_scaled(delta, lam):
+    """(p#_delta(lam) dim lam, dim lam), two integers: the first is
+    (|lam| falling |delta|) * chi^lam at delta padded with 1-parts, and
+    0 when |lam| < |delta|."""
     ntop = sum(lam)
     nlow = sum(delta)
     if ntop < nlow:
-        return Fraction(0)
+        return 0, dim_partition(lam)
     padded = tuple(sorted(delta + (1,) * (ntop - nlow), reverse=True))
-    return Fraction(perm(ntop, nlow) * mn_character(lam, padded), dim_partition(lam))
+    return perm(ntop, nlow) * mn_character(lam, padded), dim_partition(lam)
+
+
+@lru_cache(maxsize=4096)
+def p_sharp_eval(delta, lam):
+    """p#_delta(lam) = (|lam| falling |delta|) / dim lam * chi^lam at
+    delta padded with 1-parts; 0 when |lam| < |delta|.  Exact."""
+    return Fraction(*_p_sharp_scaled(delta, lam))
 
 
 @lru_cache(maxsize=4096)
@@ -216,19 +236,22 @@ def p_sharp_family_eval(delta, point):
 
 
 def _image_factor(delta, G):
-    """|G|^{|delta|} / Z_delta, exactly."""
-    return Fraction(G.order ** delta.size, class_order(delta, G)[0])
+    """|G|^{|delta|} / Z_delta: a Fraction for |G| = 1, otherwise the
+    correctly rounded int / int quotient, the float of that Fraction."""
+    num, den = G.order ** delta.size, class_order(delta, G)[0]
+    return Fraction(num, den) if G.order == 1 else num / den
 
 
 def image_eval(delta, point, G, calc=None, terms=None, factor=None):
     """Image of C_{delta;inf} under the isomorphism, evaluated at a
     character-indexed family of partitions: (|G|^{|delta|} / Z_delta)
     times P#_delta at the point.  Exact for |G| = 1, where the one class
-    alphabet is the one character alphabet.  terms, a dict, memoizes the
-    value of each expansion term at the point across calls; the images
-    of different delta share many terms.  factor, when given, is
-    |G|^{|delta|} / Z_delta, which callers evaluating one delta at many
-    points compute once."""
+    alphabet is the one character alphabet.  terms, a dict of point ->
+    {entries of a char family: value}, memoizes the value of each
+    expansion term at each point across calls; the images of different
+    delta share many terms.  factor, when given, is |G|^{|delta|} /
+    Z_delta, which callers evaluating one delta at many points compute
+    once."""
     if factor is None:
         factor = _image_factor(delta, G)
     if G.order == 1:
@@ -245,24 +268,36 @@ def image_eval(delta, point, G, calc=None, terms=None, factor=None):
     degrees = calc.chars.degrees
     if terms is None:
         terms = {}
-    total = 0.0 + 0.0j
-    for mfam, c in calc.expand_class_family(delta).items():
-        val = terms.get((mfam, point))
+    known = terms.get(point)
+    if known is None:
+        known = terms[point] = {}
+    total = 0j
+    expansion, _ = calc.conjugate_terms(delta)
+    for mfam, cc in expansion:
+        # keyed by entries: every term is a char family, and tuples hash
+        # and compare without a call into PartitionFamily
+        val = known.get(mfam.entries)
         if val is None:
-            val = terms[mfam, point] = _term_value(mfam, point, degrees)
+            val = known[mfam.entries] = _term_value(mfam, point, degrees)
         if val:
-            total += complex(c).conjugate() * val
+            total += cc * val
     return float(factor) * total
 
 
 def _term_value(mfam, point, degrees):
-    """float(p#_mfam(point) / prod_gamma (dim gamma)^{|mfam(gamma)|})."""
-    val = p_sharp_family_eval(mfam, point)
-    if val:
-        for g, parts in mfam.entries:
-            if degrees[g] != 1:
-                val /= degrees[g] ** sum(parts)
-    return float(val)
+    """p#_mfam(point) / prod_gamma (dim gamma)^{|mfam(gamma)|} as a float.
+
+    The value is one integer numerator over one integer denominator,
+    divided once.  int / int rounds correctly, as float(Fraction) does,
+    so the float is that of the exact quotient."""
+    num = den = 1
+    for g, parts in mfam.entries:
+        top, dim = _p_sharp_scaled(parts, point.get(g))
+        if not top:
+            return 0.0
+        num *= top
+        den *= dim * degrees[g] ** sum(parts)
+    return num / den
 
 
 def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
@@ -287,8 +322,6 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     ncls = G.num_classes
     nchars = len(calc.chars.rows)
     exact = G.order == 1
-    images = {}
-    terms = {}
     factors = {}
     jsons = {}
     rows = []
@@ -299,10 +332,11 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
             hit = factors[fam] = _image_factor(fam, G)
         return hit
 
-    def image(fam, pt):
-        hit = images.get((fam, pt))
+    def image(fam, pt, known):
+        # known: the images already evaluated at pt, by family
+        hit = known.get(fam)
         if hit is None:
-            hit = images[(fam, pt)] = image_eval(
+            hit = known[fam] = image_eval(
                 fam, pt, G, calc, terms, factor_of(fam))
         return hit
 
@@ -324,32 +358,34 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
                      "rhs": _fmt(rhs), "pass": bool(ok),
                      "abs_err": float(err)})
 
-    deltas = list(families_up_to(size_cap, ncls))
-    if samples is not None:
-        deltas = deltas[:samples]
+    families = list(families_up_to(size_cap, ncls))
+    deltas = families if samples is None else families[:samples]
     points = list(families_up_to(point_size, nchars, kind="char"))
     # points[:ends[s]] are the points of size <= s
     ends = list(accumulate(family_count(s, nchars)
                            for s in range(point_size + 1)))
+    images = {pt: {} for pt in points}
+    terms = {}
+    dims = [calc.dim(lam) for lam in points]
     for delta in deltas:
         factor = factor_of(delta)
-        for lam in points:
+        padded = [delta.pad(s) if s >= delta.size else None
+                  for s in range(point_size + 1)]
+        for lam, dim in zip(points, dims):
             # the reference side: central characters, not the image route
             if lam.size < delta.size:
                 rhs = Fraction(0) if exact else 0j
             elif exact:
-                lpart = lam.get(0)
-                chi = mn_character(lpart, delta.pad(lam.size).get(0))
+                chi = mn_character(lam.get(0), padded[lam.size].get(0))
                 rhs = factor * Fraction(
-                    perm(lam.size, delta.size) * chi, dim_partition(lpart))
+                    perm(lam.size, delta.size) * chi, dim)
             else:
-                x = calc.x_value(lam, delta.pad(lam.size))
-                rhs = (float(factor) * perm(lam.size, delta.size)
-                       / calc.dim(lam)) * x
+                x = calc.x_value(lam, padded[lam.size])
+                rhs = (factor * perm(lam.size, delta.size) / dim) * x
             row("chain", {"delta": js(delta), "lam": js(lam)},
-                image(delta, lam), rhs)
+                image(delta, lam, images[lam]), rhs)
 
-    proper = [f for f in families_up_to(size_cap, ncls) if f.is_proper()]
+    proper = [f for f in families if f.is_proper()]
     pairs = [(a, b) for i, a in enumerate(proper) for b in proper[i:]]
     if samples is not None:
         pairs = pairs[:samples]
@@ -357,10 +393,11 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
         kvec = k_vector(d1, d2, G).items()
         top = min(d1.size + d2.size + 1, point_size)
         for pt in points[:min(ends[top], point_cap)]:
-            rhs = image(d1, pt) * image(d2, pt)
+            known = images[pt]
+            rhs = image(d1, pt, known) * image(d2, pt, known)
             lhs = Fraction(0) if exact else 0j
             for g, k in kvec:
-                lhs += k * image(g, pt)
+                lhs += k * image(g, pt, known)
             row("homomorphism",
                 {"delta1": js(d1), "delta2": js(d2), "point": js(pt)},
                 lhs, rhs)

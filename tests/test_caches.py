@@ -47,12 +47,20 @@ def test_calculator_caches_are_bounded(z3):
 
 
 def test_calculator_caches_evict_oldest(z2):
+    """Every BoundedCache on the calculator holds at most maxsize entries,
+    forgets the oldest first and gives the same values after forgetting."""
     calc = CharacterCalculator(z2)
-    calc._expansions.maxsize = calc._x_cache.maxsize = 3
+    caches = {name: value for name, value in vars(calc).items()
+              if isinstance(value, BoundedCache)}
+    assert set(caches) == {"_terms", "_x_cache"}
+    for cache in caches.values():
+        cache.maxsize = 3
     ref = CharacterCalculator(z2)
+    deltas = list(families_of_size(3, 2))
     pairs = [(lam, delta) for lam in families_of_size(3, 2, "char")
-             for delta in families_of_size(3, 2)]
+             for delta in deltas]
     for lam, delta in pairs * 2:
         assert calc.x_value(lam, delta) == ref.x_value(lam, delta)
-        assert len(calc._x_cache) <= 3 and len(calc._expansions) <= 3
+        assert all(len(cache) <= 3 for cache in caches.values())
     assert list(calc._x_cache) == pairs[-3:]
+    assert list(calc._terms) == deltas[-3:]

@@ -687,3 +687,36 @@ def test_stdout_pinned(capsys, spec, fmt, cmd):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[
         spec, fmt, cmd]
+
+
+# The benchmark's three verify-iso sweeps: complex values, two, three and
+# four character alphabets, and the largest point sizes any pin reaches.
+# sha256 of stdout, keyed by (group, format); the argv follows the group.
+SWEEP_ARGV = {
+    "cyclic:2": ("verify-iso", "--size-cap", "3", "--point-size", "4"),
+    "cyclic:3": ("verify-iso", "--size-cap", "2", "--point-size", "4"),
+    "dihedral:2": ("verify-iso", "--size-cap", "1", "--point-size", "5"),
+}
+SWEEP_STDOUT = {
+    ("cyclic:2", "json"):
+        "c1ad84b277a0e2714026b66b1ee5cadbc78e7bd50703b11143ca6c7449e1219d",
+    ("cyclic:2", "csv"):
+        "71185fb9509d337a5ae850f19d97304f0e365ad61a3198f8e884e243d28f7122",
+    ("cyclic:3", "json"):
+        "23b35e7c4ff79134a9cbdeebeca34f1923c6147f49c6b8051a9a97d6f7fe02a7",
+    ("cyclic:3", "csv"):
+        "e80a2fdc863b452305969dffc25459319993e03f11ddf2ba7e2a33d06209df26",
+    ("dihedral:2", "json"):
+        "aa86624e7158ffcbd9237baad53860ad193ee63bdc4699b79f1c89b9343162dd",
+    ("dihedral:2", "csv"):
+        "f8721f0c12f664d9d56a71ed54b4d2e10d8bad3638bfaaa3e86d26afade9b24a",
+}
+
+
+@pytest.mark.parametrize("spec, fmt", sorted(SWEEP_STDOUT))
+def test_verify_iso_sweep_pinned(capsys, spec, fmt):
+    """Every lhs, rhs and (in CSV, unrounded) abs_err of the benchmark's
+    verify-iso sweeps is pinned."""
+    assert main(["--group", spec, "--format", fmt, *SWEEP_ARGV[spec]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT[spec, fmt]

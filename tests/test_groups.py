@@ -169,6 +169,19 @@ def test_resolve_group_builtin_and_file(tmp_path):
         resolve_group("no-such-file.json")
 
 
+def test_resolve_group_builds_each_builtin_once(tmp_path):
+    """A builtin spec resolves to one object, character table included,
+    however it is padded; a file spec is read again on every call."""
+    G = resolve_group("dihedral:4")
+    table = G.character_table()
+    again = resolve_group(" dihedral:4 ")
+    assert again is G and again.character_table() is table
+    assert resolve_group("cyclic:2") is not G
+    path = tmp_path / "z2.json"
+    path.write_text('{"table": [[0, 1], [1, 0]]}')
+    assert resolve_group(str(path)) is not resolve_group(str(path))
+
+
 def test_class_machinery():
     G = builtin_group("sym:3")
     for c, members in enumerate(G.classes):

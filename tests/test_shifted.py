@@ -262,17 +262,89 @@ def test_verify_theorem71_evaluates_each_term_once(monkeypatch, gname):
     one call computes each (character family, point) term once."""
     G = builtin_group(gname)
     calls = Counter()
-    real = shifted.p_sharp_family_eval
+    real = shifted._term_value
 
-    def counting(mfam, point):
+    def counting(mfam, point, degrees):
         calls[(mfam, point)] += 1
-        return real(mfam, point)
+        return real(mfam, point, degrees)
 
-    monkeypatch.setattr(shifted, "p_sharp_family_eval", counting)
+    monkeypatch.setattr(shifted, "_term_value", counting)
     rows = verify_theorem71(G, size_cap=2, point_size=4)
     assert rows and all(r["pass"] for r in rows)
     assert calls and set(calls.values()) == {1}
     assert {mfam.kind for mfam, _ in calls} == {"char"}
+
+
+@pytest.mark.parametrize("gname", ["sym:3", "cyclic:3"])
+def test_term_value_is_the_float_of_the_exact_term(monkeypatch, gname):
+    """Each term of a sweep, one integer quotient, is bit for bit the
+    float of the Fraction p#_mfam(point) / prod (dim gamma)^|mfam(gamma)|
+    that the term route computed before."""
+    G = builtin_group(gname)
+    degrees = G.character_table().degrees
+    seen = {}
+    real = shifted._term_value
+
+    def recording(mfam, point, degs):
+        seen[mfam, point] = val = real(mfam, point, degs)
+        return val
+
+    monkeypatch.setattr(shifted, "_term_value", recording)
+    verify_theorem71(G, size_cap=2, point_size=4)
+    assert any(seen.values()) and not all(seen.values())
+    for (mfam, point), val in seen.items():
+        exact = p_sharp_family_eval(mfam, point)
+        for g, parts in mfam.entries:
+            exact /= degrees[g] ** sum(parts)
+        assert val.hex() == float(exact).hex(), (mfam, point)
+
+
+def test_term_value_divides_once():
+    """p#_(1)((1)) p#_(1)((11)) / (3 * 3) = 11/9 is one correctly rounded
+    division; dividing alphabet by alphabet would round twice, and
+    (1/3) * (11/3) is not the float nearest 11/9."""
+    mfam = PartitionFamily({3: (1,), 4: (1,)}, kind="char")
+    point = PartitionFamily({3: (1,), 4: (11,)}, kind="char")
+    assert (1 / 3) * (11 / 3) != 11 / 9
+    assert shifted._term_value(mfam, point, (1, 1, 2, 3, 3)) == 11 / 9
+
+
+@pytest.mark.parametrize("gname", ["cyclic:3", "sym:3", "dihedral:4"])
+def test_dim_closed_form_is_the_identity_character_value(gname):
+    """The closed-form degree is X^Lambda at the identity class for every
+    Lambda of size <= 4."""
+    G = builtin_group(gname)
+    calc = CharacterCalculator(G)
+    for lam in families_up_to(4, G.num_classes, kind="char"):
+        ident = PartitionFamily({0: (1,) * lam.size})
+        val = calc.x_value(lam, ident)
+        dim = calc.dim(lam)
+        assert isinstance(dim, int) and dim > 0
+        assert abs(val - dim) <= 1e-9 * dim, (lam, val, dim)
+
+
+@pytest.mark.parametrize("gname", ["sym:3", "dihedral:4"])
+def test_x_value_is_the_full_expansion_sum(gname):
+    """Reading only the terms of lam's per-alphabet sizes gives, bit for
+    bit, the sum over every term of expand_class_family."""
+    G = builtin_group(gname)
+    calc = CharacterCalculator(G)
+    for n in range(4):
+        for delta in families_of_size(n, G.num_classes):
+            expansion = calc.expand_class_family(delta)
+            for lam in families_of_size(n, G.num_classes, kind="char"):
+                total = 0j
+                for mfam, c in expansion.items():
+                    prod = 1
+                    for g in set(lam.indices()) | set(mfam.indices()):
+                        lpart, mpart = lam.get(g), mfam.get(g)
+                        if sum(lpart) != sum(mpart):
+                            prod = 0
+                            break
+                        prod *= mn_character(lpart, mpart)
+                    if prod:
+                        total += complex(c).conjugate() * prod
+                assert calc.x_value(lam, delta) == total, (lam, delta)
 
 
 def test_p_sharp_family_index_agnostic(z2):
