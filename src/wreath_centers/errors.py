@@ -51,4 +51,4 @@ class GuardrailExceeded(WreathCentersError):
 
 
 class Overflow(WreathCentersError):
-    """Input exceeds the compiled kernel's fixed-width encoding."""
+    """Input exceeds the packed type key: one byte per slot, so n <= 255."""

@@ -538,7 +538,7 @@ def test_criterion_09_trivial_group_regression():
 
 def run_cli(*args):
     env = {k: v for k, v in os.environ.items()
-           if k not in ("WREATH_CENTERS_CONFIG", "WREATH_CENTERS_PURE")}
+           if k != "WREATH_CENTERS_CONFIG"}
     return subprocess.run([sys.executable, "-m", "wreath_centers", *args],
                           capture_output=True, env=env)
 

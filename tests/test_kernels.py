@@ -1,23 +1,16 @@
-"""Histogram kernels: compiled vs pure parity, key packing, limits."""
-import os
-import subprocess
-import sys
-
+"""The histogram kernel: brute force, mass and commutativity identities,
+key packing, limits."""
 import pytest
 
 from wreath_centers.errors import Overflow, SizeMismatch
 from wreath_centers.groups import builtin_group
 from wreath_centers.kernels import (
-    BACKEND, available_backends, decode_type_key, encode_type_key,
-    type_histogram,
+    available_backends, decode_type_key, encode_type_key, type_histogram,
 )
 from wreath_centers.wreath import (
-    PartitionFamily, WreathElement, canonical_representative,
+    PartitionFamily, WreathElement, canonical_representative, class_order,
     enumerate_class, families_of_size, type_of, w_multiply,
 )
-
-needs_cython = pytest.mark.skipif(
-    BACKEND != "cython", reason="compiled backend not built")
 
 
 def brute_histogram(G, fam, z, side):
@@ -50,26 +43,40 @@ def test_pure_kernel_matches_brute_force(z3, s3):
     for G, fam, zfam in cases:
         z = canonical_representative(zfam, fam.size, G)
         # one histogram for both orders: z w and w z are conjugate
-        got = type_histogram(G, fam, z, backend="python")
+        got = type_histogram(G, fam, z)
         for side in (2, 3):
             assert got == brute_histogram(G, fam, z, side)
 
 
-@needs_cython
-def test_backend_parity(triv, z2, z3, s3):
-    d4 = builtin_group("dihedral:4")
-    for G, n in ((z2, 4), (z3, 3), (s3, 3), (d4, 3), (triv, 7)):
-        zf = next(f for f in families_of_size(n, G.num_classes)
-                  if f.num_cycles > 1)
-        z = canonical_representative(zf, n, G)
-        for fam in families_of_size(n, G.num_classes):
-            assert type_histogram(G, fam, z, backend="cython") \
-                == type_histogram(G, fam, z, backend="python"), \
-                (G.order, fam)
+IDENTITY_CASES = [("cyclic:2", 4), ("cyclic:3", 3), ("sym:3", 3),
+                  ("dihedral:4", 3), ("trivial", 7)]
+
+
+@pytest.mark.parametrize("spec, n", IDENTITY_CASES,
+                         ids=["%s-%d" % case for case in IDENTITY_CASES])
+def test_histograms_satisfy_mass_and_commutativity(spec, n):
+    """Over every ordered pair (a, b) of families, with h(a, b) the
+    histogram of C_b against z_a = canonical_representative(a): it has
+    mass |C_b|, and |C_a| h(a, b) = |C_b| h(b, a) key by key, since both
+    count the pairs of C_a x C_b whose product has that type."""
+    G = builtin_group(spec)
+    fams = list(families_of_size(n, G.num_classes))
+    size = {f: class_order(f, G)[1] for f in fams}
+    hist = {}
+    for a in fams:
+        z = canonical_representative(a, n, G)
+        for b in fams:
+            hist[a, b] = type_histogram(G, b, z)
+            assert sum(hist[a, b].values()) == size[b], (a, b)
+    for a in fams:
+        for b in fams:
+            ab, ba = hist[a, b], hist[b, a]
+            for key in ab.keys() | ba.keys():
+                assert size[a] * ab.get(key, 0) == size[b] * ba.get(key, 0), \
+                    (a, b, key)
 
 
 def test_histogram_mass(z2):
-    from wreath_centers.wreath import class_order
     fam = PartitionFamily({0: (2,), 1: (1, 1)})
     z = WreathElement.identity(4)
     hist = type_histogram(z2, fam, z)
@@ -92,15 +99,4 @@ def test_overflow_guard(z2):
 
 
 def test_available_backends():
-    names = available_backends()
-    assert "python" in names
-    if BACKEND == "cython":
-        assert names[0] == "cython"
-
-
-def test_pure_env_override():
-    code = ("import wreath_centers.kernels as k; print(k.BACKEND)")
-    env = dict(os.environ, WREATH_CENTERS_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
+    assert available_backends() == ("python",)

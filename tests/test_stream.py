@@ -13,17 +13,12 @@ import random
 import pytest
 
 from wreath_centers.groups import builtin_group
-from wreath_centers.kernels import (
-    available_backends, encode_type_key, type_histogram,
-)
+from wreath_centers.kernels import encode_type_key, type_histogram
 from wreath_centers.partial import enumerate_partial_class
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, canonical_representative,
     enumerate_class, type_of, w_inverse, w_multiply,
 )
-
-needs_compiled = pytest.mark.skipif(
-    "cython" not in available_backends(), reason="compiled backend not built")
 
 ORACLE_CASES = [("trivial", 4), ("cyclic:2", 3), ("cyclic:3", 3),
                 ("sym:3", 3), ("dihedral:4", 2)]
@@ -56,28 +51,19 @@ def test_enumerate_class_yields_each_bucket(listed):
 
 
 def test_python_kernel_matches_listed_group(listed):
-    _check_listed(listed, "python")
-
-
-@needs_compiled
-def test_compiled_kernel_matches_listed_group(listed):
-    _check_listed(listed, "cython")
-
-
-def _check_listed(listed, backend):
     G, n, by_type = listed
     for zfam in by_type:
         z = canonical_representative(zfam, n, G)
         for fam, members in by_type.items():
             # one histogram for both orders: z w and w z are conjugate
-            got = type_histogram(G, fam, z, backend=backend)
+            got = type_histogram(G, fam, z)
             for side in (2, 3):
                 want = {}
                 for w in members:
                     u = w_multiply(z, w, G) if side == 2 else w_multiply(w, z, G)
                     key = encode_type_key(type_of(u, G), n, G.num_classes)
                     want[key] = want.get(key, 0) + 1
-                assert got == want, (backend, zfam, fam, side)
+                assert got == want, (zfam, fam, side)
 
 
 @pytest.mark.parametrize("spec, n, draws, fams", [
@@ -102,9 +88,7 @@ def test_kernels_match_listed_group_at_conjugated_z(spec, n, draws, fams):
                 key = encode_type_key(type_of(w_multiply(w, z, G), G), n,
                                       G.num_classes)
                 want[key] = want.get(key, 0) + 1
-            for backend in available_backends():
-                assert type_histogram(G, fam, z, backend=backend) == want, \
-                    (backend, z, fam)
+            assert type_histogram(G, fam, z) == want, (z, fam)
 
 
 def _digest(lines):

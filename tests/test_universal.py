@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from wreath_centers import kernels
 from wreath_centers.errors import GuardrailExceeded, NotProper
 from wreath_centers.groups import builtin_group, group_from_table
 from wreath_centers.partial import (
@@ -309,21 +308,6 @@ def test_k_stream_size_counts_the_streamed_elements():
     triv = builtin_group("trivial")
     assert k_stream_size(delta, lam, triv) == 5
     assert k_stream_size(lam, delta, triv) == 6 * 2
-
-
-def test_k_vector_runs_the_python_kernel_on_either_backend(monkeypatch):
-    """k_vector reads absent points, which only the pure-Python kernel
-    knows, so it gives the same vectors when the compiled backend is the
-    selected one."""
-    pairs = [(lam, delta, G)
-             for G in map(builtin_group, ("cyclic:3", "sym:3"))
-             for lam in list(families_up_to(2, G.num_classes))[::2]
-             for delta in list(families_up_to(2, G.num_classes))[1::3]]
-    want = [list(k_vector.__wrapped__(*pair).items()) for pair in pairs]
-    monkeypatch.setattr(kernels, "BACKEND", "cython")
-    monkeypatch.setattr(kernels, "_speedups", None)
-    assert [list(k_vector.__wrapped__(*pair).items())
-            for pair in pairs] == want
 
 
 def _q8():
