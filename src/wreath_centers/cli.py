@@ -2,7 +2,8 @@
 
 Every computation is reachable as a subcommand.  Each cmd_* returns its
 payload, and main emits it once, in JSON, CSV or LaTeX, through the
-views build_parser declares beside the subcommand.  JSON output is
+views build_parser declares beside the subcommand; a list payload may be
+an iterator, written as its items come.  JSON output is
 json.dumps(payload, indent=2), deterministic byte-for-byte for identical
 inputs: fixed key order, and floats rounded to 12 significant digits by
 the code that builds each payload, which holds only JSON-native values.
@@ -17,7 +18,8 @@ import json
 import math
 import os
 import sys
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii
 
 from . import errors as err
@@ -202,10 +204,12 @@ def _json_value(o, ind, memo):
         key = id(o) << 32 | ind
         hit = memo.get(key)
         if hit:
-            return hit
+            return hit[0]
         text = _json_container(o, ind, memo)
-        # "" marks a first meeting: no container encodes to it
-        memo[key] = "" if hit is None else text
+        # "" marks a first meeting; the second keeps the string with the
+        # container itself, whose id then stays its own while the memo
+        # holds it
+        memo[key] = "" if hit is None else (text, o)
         return text
     # subclasses of the leaf types, in the order json.dumps tests them
     for cls in (str, int, float):
@@ -245,9 +249,36 @@ def _json_container(o, ind, memo):
     return "".join(pieces)
 
 
+# items of a streamed list encoded and written at a time
+_CHUNK = 256
+
+
 def _emit_json(payload):
-    sys.stdout.write(_json_text(payload))
-    sys.stdout.write("\n")
+    """Write json.dumps(payload, indent=2) and a newline.  A dict is
+    encoded whole.  A list, or an iterator of a list's items, is written
+    _CHUNK items at a time, and the items already written can be freed.
+    A freed item's id, and those of its parts, may come back on a later
+    item, so the memo forgets its first-meeting marks before each chunk
+    goes; what it keeps holds its container, whose id stays its own."""
+    write = sys.stdout.write
+    if isinstance(payload, dict):
+        write(_json_text(payload))
+        write("\n")
+        return
+    items = iter(payload)
+    memo = {}
+    sep = "[\n  "
+    while True:
+        chunk = list(islice(items, _CHUNK))
+        if not chunk:
+            break
+        write(sep)
+        write(",\n  ".join([_json_value(o, 2, memo) for o in chunk]))
+        sep = ",\n  "
+        memo = {key: hit for key, hit in memo.items() if hit}
+        # gone before the next chunk is drawn, so only one is ever held
+        del chunk
+    write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 def _emit(payload, args):
@@ -279,10 +310,10 @@ def _columns(*tables):
         if key is not None:
             entries = payload[key]
         else:
-            entries = payload if isinstance(payload, list) else [payload]
+            entries = [payload] if isinstance(payload, dict) else payload
         names = [f if isinstance(f, str) else f[1] for f in fields]
         return ([f if isinstance(f, str) else f[0] for f in fields],
-                [[e[name] for name in names] for e in entries])
+                ([e[name] for name in names] for e in entries))
     return view
 
 
@@ -317,13 +348,21 @@ def _round_abs_err(rows):
     # rounded here, not in the rows: the CSV form prints it unrounded
     for r in rows:
         r["abs_err"] = _g12(r["abs_err"])
-    return rows
+        yield r
+
+
+def _iso_latex(rows):
+    passed = Counter(r["pass"] for r in rows)
+    return ["\\text{%d/%d evaluation checks passed}" % (
+        passed[True], passed.total())]
 
 
 # ---------------------------------------------------------------- commands
 #
 # Each cmd_* returns (payload, ok): the payload holds only JSON-native
-# values, and ok False makes the exit code 1.
+# values, and ok False makes the exit code 1.  A command whose payload
+# streams gives ok as a function, which main calls once the payload is
+# written.
 
 def cmd_group_info(G, args):
     chars = G.character_table()
@@ -589,9 +628,19 @@ def cmd_verify_iso(G, args):
     rows = verify_theorem71(G, size_cap=args.size_cap, samples=args.samples,
                             point_size=args.point_size,
                             point_cap=args.point_cap, tol=args.tolerance)
-    npass = sum(1 for r in rows if r["pass"])
-    sys.stderr.write(f"{npass}/{len(rows)} checks passed\n")
-    return rows, npass == len(rows)
+    passed = Counter()
+
+    def tallied():
+        for r in rows:
+            passed[r["pass"]] += 1
+            yield r
+
+    def ok():
+        npass, total = passed[True], passed.total()
+        sys.stderr.write(f"{npass}/{total} checks passed\n")
+        return npass == total
+
+    return tallied(), ok
 
 
 def cmd_enumerate_partial(G, args):
@@ -746,8 +795,7 @@ def build_parser():
              to_json=_round_abs_err,
              csv=_columns((None, "check", "input", "lhs", "rhs", "pass",
                            "abs_err")),
-             latex=lambda rows: ["\\text{%d/%d evaluation checks passed}" % (
-                 sum(1 for r in rows if r["pass"]), len(rows))])
+             latex=_iso_latex)
     sp.add_argument("--size-cap", type=_count, default=2)
     sp.add_argument("--point-size", type=_count, default=7)
     sp.add_argument("--point-cap", type=_count, default=200)
@@ -775,11 +823,14 @@ def main(argv=None):
             raise err.CapExceeded(
                 f"n={n} exceeds the configured max_n={args.max_n}")
         payload, ok = args.fn(G, args)
+        # inside the try: a streamed payload computes as it is written
+        _emit(payload, args)
+        if callable(ok):
+            ok = ok()
     except (UsageError, err.WreathCentersError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kinds, code in _EXIT_CODES
                     if isinstance(exc, kinds))
-    _emit(payload, args)
     return 0 if ok else 1
 
 

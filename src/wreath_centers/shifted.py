@@ -302,8 +302,9 @@ def _term_value(mfam, point, degrees):
 
 def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
                      point_cap=200, tol=1e-6):
-    """Pointwise checks of the isomorphism; returns a list of rows
-    {"check", "input", "lhs", "rhs", "pass", "abs_err"}.
+    """Pointwise checks of the isomorphism; yields one row
+    {"check", "input", "lhs", "rhs", "pass", "abs_err"} per check, as
+    the sweep makes it, so no row outlives its reader.
 
     (a) chain: the image of C_{delta;inf} evaluated at a character
         index Lambda equals the normalized central character
@@ -314,7 +315,7 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
         the product of the images at character-indexed points.
 
     Each (delta, point) image, and each term of the character-alphabet
-    expansions at each point, is evaluated once per call.  Values are
+    expansions at each point, is evaluated once per sweep.  Values are
     exact Fractions for |G| = 1 and complex floats, compared within
     tol, otherwise.
     """
@@ -324,7 +325,6 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     exact = G.order == 1
     factors = {}
     jsons = {}
-    rows = []
 
     def factor_of(fam):
         hit = factors.get(fam)
@@ -354,9 +354,8 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
         else:
             err = abs(lhs - rhs)
             ok = err <= tol * max(1.0, abs(rhs))
-        rows.append({"check": check, "input": inp, "lhs": _fmt(lhs),
-                     "rhs": _fmt(rhs), "pass": bool(ok),
-                     "abs_err": float(err)})
+        return {"check": check, "input": inp, "lhs": _fmt(lhs),
+                "rhs": _fmt(rhs), "pass": bool(ok), "abs_err": float(err)}
 
     families = list(families_up_to(size_cap, ncls))
     deltas = families if samples is None else families[:samples]
@@ -382,8 +381,8 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
             else:
                 x = calc.x_value(lam, padded[lam.size])
                 rhs = (factor * perm(lam.size, delta.size) / dim) * x
-            row("chain", {"delta": js(delta), "lam": js(lam)},
-                image(delta, lam, images[lam]), rhs)
+            yield row("chain", {"delta": js(delta), "lam": js(lam)},
+                      image(delta, lam, images[lam]), rhs)
 
     proper = [f for f in families if f.is_proper()]
     pairs = [(a, b) for i, a in enumerate(proper) for b in proper[i:]]
@@ -398,10 +397,9 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
             lhs = Fraction(0) if exact else 0j
             for g, k in kvec:
                 lhs += k * image(g, pt, known)
-            row("homomorphism",
-                {"delta1": js(d1), "delta2": js(d2), "point": js(pt)},
-                lhs, rhs)
-    return rows
+            yield row("homomorphism",
+                      {"delta1": js(d1), "delta2": js(d2), "point": js(pt)},
+                      lhs, rhs)
 
 
 def _fmt(v):

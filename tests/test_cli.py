@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wreath_centers import cli, universal
+from wreath_centers import cli, errors, universal
 from wreath_centers.center import product_classes
 from wreath_centers.cli import main
 from wreath_centers.groups import builtin_group
@@ -301,6 +301,25 @@ def test_verify_iso_cap_weighs_each_check_by_point_size(monkeypatch, capsys):
     assert "9352240" in capsys.readouterr().err
 
 
+def test_error_raised_while_rows_stream(monkeypatch, capsys):
+    """verify-iso computes its rows as they are written, so a domain
+    error can come after part of the array is on stdout; main still maps
+    it to its exit code and one error line, and reports no pass count."""
+    real = cli.verify_theorem71
+
+    def failing(*args, **kw):
+        yield from itertools.islice(real(*args, **kw), 2 * cli._CHUNK + 5)
+        raise errors.GuardrailExceeded("stopped mid-sweep")
+
+    monkeypatch.setattr(cli, "verify_theorem71", failing)
+    assert main(["--group", "cyclic:2", "verify-iso", "--size-cap", "2",
+                 "--point-size", "4"]) == 5
+    out, err = capsys.readouterr()
+    assert err == "error: stopped mid-sweep\n"
+    assert out.startswith("[\n  {") and not out.endswith("]\n")
+    assert out.count('"check"') == 2 * cli._CHUNK
+
+
 def test_k_path_cap_checked_before_streaming(monkeypatch, capsys):
     """kcoeff and poly weigh the pair by k_stream_size: sym:3
     (6)^1 x (6)^1 weighs 119,439,360, above the default cap, and
@@ -543,6 +562,10 @@ PINNED_STDOUT = {
         "d9237f03252cc76e4e74c304f9970b0f00815f0d2c9162491f91af78fa777bd8",
     ("sym:3", "csv", "verify-iso"):
         "d356e37ebf234ec50114bae872e1de240bbb3fd85af64917dc7f3145be5b4ec6",
+    ("cyclic:2", "latex", "verify-iso"):
+        "60e0d4c13461e34e397ff1c125b47d035dbcc8edebef70382eb70c9ba688e01a",
+    ("sym:3", "latex", "verify-iso"):
+        "2a95610a6c0aa86c95f2a3ff61bad6b27ef216750dac01143a3a3134c06af622",
     ("cyclic:2", "json", "classes"):
         "a42a8738a4870ede1403a2ef885e06a041ca1f71a92899422909db56cc87cfdc",
     ("cyclic:2", "csv", "classes"):

@@ -198,18 +198,18 @@ def test_image_eval_matches_central_characters(gname, n):
     ("sym:3", 2, 4), ("dihedral:4", 2, 3)])
 def test_verify_theorem71_non_abelian(gname, size_cap, point_size):
     """Every chain and homomorphism check passes on non-abelian G."""
-    rows = verify_theorem71(builtin_group(gname), size_cap=size_cap,
-                            point_size=point_size)
+    rows = list(verify_theorem71(builtin_group(gname), size_cap=size_cap,
+                                 point_size=point_size))
     assert {r["check"] for r in rows} == {"chain", "homomorphism"}
     assert all(r["pass"] for r in rows)
 
 
 def test_verify_theorem71_small(z2, triv):
-    rows = verify_theorem71(triv, size_cap=2, point_size=4)
+    rows = list(verify_theorem71(triv, size_cap=2, point_size=4))
     assert rows and all(r["pass"] for r in rows)
     assert {"check", "input", "lhs", "rhs", "pass", "abs_err"} <= set(rows[0])
     assert {r["check"] for r in rows} == {"chain", "homomorphism"}
-    rows2 = verify_theorem71(z2, size_cap=2, point_size=4, samples=40)
+    rows2 = list(verify_theorem71(z2, size_cap=2, point_size=4, samples=40))
     assert rows2 and all(r["pass"] for r in rows2)
 
 
@@ -226,7 +226,7 @@ def test_verify_theorem71_evaluates_each_image_once(monkeypatch, gname):
         return real(delta, point, *args)
 
     monkeypatch.setattr(shifted, "image_eval", counting)
-    rows = verify_theorem71(G, size_cap=2, point_size=4)
+    rows = list(verify_theorem71(G, size_cap=2, point_size=4))
     assert rows and all(r["pass"] for r in rows)
     assert {r["check"] for r in rows} == {"chain", "homomorphism"}
     assert calls and set(calls.values()) == {1}
@@ -245,7 +245,7 @@ def test_verify_theorem71_shares_factors_and_families(monkeypatch, gname):
         return real(fam, group)
 
     monkeypatch.setattr(shifted, "class_order", counting)
-    rows = verify_theorem71(G, size_cap=2, point_size=4)
+    rows = list(verify_theorem71(G, size_cap=2, point_size=4))
     assert rows and all(r["pass"] for r in rows)
     assert calls and set(calls.values()) == {1}
     dicts = {}
@@ -269,7 +269,7 @@ def test_verify_theorem71_evaluates_each_term_once(monkeypatch, gname):
         return real(mfam, point, degrees)
 
     monkeypatch.setattr(shifted, "_term_value", counting)
-    rows = verify_theorem71(G, size_cap=2, point_size=4)
+    rows = list(verify_theorem71(G, size_cap=2, point_size=4))
     assert rows and all(r["pass"] for r in rows)
     assert calls and set(calls.values()) == {1}
     assert {mfam.kind for mfam, _ in calls} == {"char"}
@@ -290,7 +290,7 @@ def test_term_value_is_the_float_of_the_exact_term(monkeypatch, gname):
         return val
 
     monkeypatch.setattr(shifted, "_term_value", recording)
-    verify_theorem71(G, size_cap=2, point_size=4)
+    list(verify_theorem71(G, size_cap=2, point_size=4))
     assert any(seen.values()) and not all(seen.values())
     for (mfam, point), val in seen.items():
         exact = p_sharp_family_eval(mfam, point)
