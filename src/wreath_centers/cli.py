@@ -38,11 +38,9 @@ _FORMATS = ("json", "csv", "latex")
 _DEFAULTS = {
     "group": "trivial",
     "format": "json",
-    "seed": 0,
     "cap_class_size": DEFAULT_CLASS_CAP,
     "max_n": 255,
     "max_total_size": 12,
-    "tolerance": 1e-6,
 }
 
 
@@ -96,9 +94,6 @@ def _fill_settings(args):
             raise UsageError(f"{k} must be a positive integer")
     if not isinstance(args.group, (str, dict)):
         raise UsageError("group must be a spec string or a table object")
-    if (not isinstance(args.tolerance, (int, float))
-            or not 0 < args.tolerance <= 1e-3):
-        raise UsageError("tolerance must lie in (0, 1e-3]")
     args.group_label = args.group if isinstance(args.group, str) else "file"
 
 
@@ -282,20 +277,20 @@ def _emit_json(payload):
 
 
 def _emit(payload, args):
-    """Write a command's payload to stdout in args.format, through the
-    view of that format which build_parser declared for the command."""
-    view = args.views[args.format]
+    """Write a command's payload to stdout in args.format: JSON as it is,
+    CSV and LaTeX through the views build_parser declared for the command."""
     if args.format == "json":
-        _emit_json(view(payload))
+        _emit_json(payload)
     elif args.format == "csv":
-        header, rows = view(payload)
+        header, rows = args.views["csv"](payload)
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(header)
         w.writerows([json.dumps(v, separators=(",", ":"))
                      if isinstance(v, (dict, list)) else v for v in row]
                     for row in rows)
     else:
-        sys.stdout.write("".join(line + "\n" for line in view(payload)))
+        sys.stdout.write("".join(line + "\n"
+                                 for line in args.views["latex"](payload)))
 
 
 def _columns(*tables):
@@ -342,13 +337,6 @@ def _group_info_latex(payload):
             + [f"\\gamma_{i} & {' & '.join(map(_cx_latex, row))} \\\\"
                for i, row in enumerate(rows)]
             + [r"\end{array}"])
-
-
-def _round_abs_err(rows):
-    # rounded here, not in the rows: the CSV form prints it unrounded
-    for r in rows:
-        r["abs_err"] = _g12(r["abs_err"])
-        yield r
 
 
 def _iso_latex(rows):
@@ -627,7 +615,7 @@ def cmd_verify_iso(G, args):
                  f"to {args.point_size}, weight {weight}", args)
     rows = verify_theorem71(G, size_cap=args.size_cap, samples=args.samples,
                             point_size=args.point_size,
-                            point_cap=args.point_cap, tol=args.tolerance)
+                            point_cap=args.point_cap)
     passed = Counter()
 
     def tallied():
@@ -697,11 +685,7 @@ def build_parser():
                         help="builtin spec (trivial, cyclic:k, sym:k, "
                              "dihedral:k) or path to a JSON table file")
     common.add_argument("--format", choices=_FORMATS)
-    common.add_argument("--seed", type=int,
-                        help="reserved: accepted, but read by nothing; "
-                             "it changes no output")
     common.add_argument("--cap-class-size", type=int)
-    common.add_argument("--tolerance", type=float)
 
     p = argparse.ArgumentParser(
         prog="wreath-centers",
@@ -710,12 +694,10 @@ def build_parser():
         parents=[common])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help, csv, latex, to_json=lambda payload: payload):
-        """A subcommand and its views of fn's payload: to_json gives the
-        JSON payload, csv the header and rows, latex the lines."""
+    def add(name, fn, help, csv, latex):
+        """A subcommand, with CSV (header, rows) and LaTeX (lines) views."""
         sp = sub.add_parser(name, parents=[common], help=help)
-        sp.set_defaults(fn=fn, views={"json": to_json, "csv": csv,
-                                      "latex": latex})
+        sp.set_defaults(fn=fn, views={"csv": csv, "latex": latex})
         return sp
 
     def add_families(sp, required):
@@ -792,9 +774,7 @@ def build_parser():
     sp = add("verify-iso", cmd_verify_iso,
              "pointwise checks of the shifted symmetric function "
              "isomorphism",
-             to_json=_round_abs_err,
-             csv=_columns((None, "check", "input", "lhs", "rhs", "pass",
-                           "abs_err")),
+             csv=_columns((None, "check", "input", "lhs", "rhs", "pass")),
              latex=_iso_latex)
     sp.add_argument("--size-cap", type=_count, default=2)
     sp.add_argument("--point-size", type=_count, default=7)
@@ -831,6 +811,10 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kinds, code in _EXIT_CODES
                     if isinstance(exc, kinds))
+    except BrokenPipeError:
+        # the rest of stdout and the flush at exit go to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # as for a process killed by SIGPIPE
     return 0 if ok else 1
 
 

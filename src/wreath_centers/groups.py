@@ -4,16 +4,17 @@ Elements are ints 0..order-1 with 0 the identity; ingestion relabels the
 identity to 0 when the table puts it elsewhere. Conjugacy classes are
 sorted by (size ascending, minimal member ascending), which pins class 0
 to {0}. Character tables are exact, by Dixon's modular method over a
-prime field, and each value becomes a complex number only at the end.
+prime field; each value is a Cyclotomic, and a complex float for display.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import re
+from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .errors import (DiagonalizationFailed, NoIdentity, NotAssociative,
                      NotBijectiveRow, UnsupportedSpec)
@@ -67,7 +68,7 @@ class FiniteGroup:
 
     def character_table(self) -> "CharacterTable":
         if self._char_table is None:
-            self._char_table = CharacterTable(self, _dixon_rows(self))
+            self._char_table = CharacterTable(self, *_dixon_rows(self))
         return self._char_table
 
     def __eq__(self, other):
@@ -81,30 +82,21 @@ class FiniteGroup:
 
 
 class CharacterTable:
-    """Irreducible characters as rows over the canonical class order.
+    """Irreducible characters over the canonical class order: values[i][c]
+    is chi_i(c), a Cyclotomic of Q(zeta_exponent), and rows[i][c] its
+    complex float.  Rows are sorted by (degree, entrywise rounded values),
+    making the row index a stable label for the irreducible characters."""
 
-    Rows are sorted by (degree, entrywise rounded values), making the
-    row index a stable label for the irreducible characters.
-    """
+    __slots__ = ("group", "exponent", "values", "rows", "degrees", "residual")
 
-    __slots__ = ("group", "rows", "degrees", "residual")
-
-    def __init__(self, group: FiniteGroup, rows):
-        k = group.num_classes
-        rows = [tuple(complex(v) for v in row) for row in rows]
-        if len(rows) != k or any(len(r) != k for r in rows):
-            raise DiagonalizationFailed(
-                f"expected a {k} x {k} table, got {len(rows)} rows")
-        rows.sort(key=_row_sort_key)
+    def __init__(self, group: FiniteGroup, rows, e):
+        # rows[i][c]: chi_i at class c, as (Cyclotomic, complex)
+        rows = sorted(rows, key=lambda row: _row_sort_key([c for _, c in row]))
         self.group = group
-        self.rows = tuple(rows)
-        degrees = []
-        for row in rows:
-            d = row[0]
-            if abs(d.imag) > _ORTHO_TOL or abs(d.real - round(d.real)) > 1e-6 or d.real < 0.5:
-                raise DiagonalizationFailed(f"non-integral degree {d}")
-            degrees.append(round(d.real))
-        self.degrees = tuple(degrees)
+        self.exponent = e
+        self.values = tuple(tuple(v for v, _ in row) for row in rows)
+        self.rows = tuple(tuple(c for _, c in row) for row in rows)
+        self.degrees = tuple(row[0][0].num[0] for row in rows)
         self._check_orthogonality()
 
     def _check_orthogonality(self):
@@ -121,12 +113,6 @@ class CharacterTable:
                     raise DiagonalizationFailed(
                         f"row orthogonality fails at ({i},{j}): {val}")
                 self.residual = max(self.residual, dev)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
 
 
 def _row_sort_key(row):
@@ -232,21 +218,143 @@ def _dixon_rows(G: FiniteGroup):
         d = next(d for d in range(1, math.isqrt(G.order) + 1)
                  if d * d * norm % p == G.order % p)
         chi = [d * omega[t] * inv_sizes[t] % p for t in range(k)]
-        rows.append([_lift([chi[c] for c in seq], f, p)
+        rows.append([_lift([chi[c] for c in seq], f, p, e)
                      for seq, f in zip(powers, fourier)])
-    return rows
+    return rows, e
 
 
-def _lift(vals, fourier, p):
-    """chi(g) from vals[l] = chi(g^l) mod p: row j of fourier gives the
-    multiplicity of exp(2 pi i j/o), exactly, as it lies in [0, chi(1)]."""
-    o = len(vals)
-    mults = [sum(map(operator.mul, vals, row)) % p for row in fourier]
+def _lift(vals, fourier, p, e):
+    """chi(g), exact and complex, from vals[l] = chi(g^l) mod p: row j of
+    fourier gives the multiplicity of exp(2 pi i j/o), in [0, chi(1)]."""
+    mults = [sum(map(mul, vals, row)) % p for row in fourier]
+    o = len(mults)
+    coeffs = [0] * e
+    coeffs[::e // o] = mults
+    exact = Cyclotomic(e, _divmod(coeffs, _cyclotomic(e))[1])
     re = sum(m * math.cos(2 * math.pi * j / o) for j, m in enumerate(mults))
     if all(mults[j] == mults[-j] for j in range(o)):  # a real value
-        return complex(re, 0.0)
-    return complex(re, sum(m * math.sin(2 * math.pi * j / o)
-                           for j, m in enumerate(mults)))
+        return exact, complex(re, 0.0)
+    return exact, complex(re, sum(m * math.sin(2 * math.pi * j / o)
+                                  for j, m in enumerate(mults)))
+
+
+def _divmod(poly, low):
+    """Quotient and remainder of poly (a list, lowest degree first, of at
+    least n ints; consumed) by the monic x^n + sum_i low[i] x^i."""
+    n = len(low)
+    quot = [0] * (len(poly) - n)
+    for t in range(len(poly) - 1, n - 1, -1):
+        c = quot[t - n] = poly[t]
+        for i, a in enumerate(low):
+            poly[t - n + i] -= c * a
+    return quot, tuple(poly[:n])
+
+
+@lru_cache(maxsize=32)
+def _cyclotomic(e):
+    """Phi_e below its leading 1, lowest first: x^e - 1 over Phi_d, d|e."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            poly = _divmod(poly, _cyclotomic(d))[0]
+    return tuple(poly[:-1])
+
+
+class Cyclotomic:
+    """sum_k num[k] zeta^k / den, zeta = exp(2 pi i / e), k < deg Phi_e,
+    den > 0: num is reduced mod Phi_e, so == is exact.  Cyclotomic(e, n)
+    is the integer n."""
+
+    __slots__ = ("e", "num", "den")
+
+    def __init__(self, e, num=0, den=1):
+        if type(num) is int:
+            num = (num,) + (0,) * (len(_cyclotomic(e)) - 1)
+        self.e, self.num, self.den = e, num, den
+
+    def __add__(self, other):
+        if type(other) is int:
+            other = Cyclotomic(self.e, other)
+        return dot((1, 1), (self, other), self.e)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is int:
+            other = Cyclotomic(self.e, other)
+        a, b = self.num, other.num
+        if any(b[1:]):
+            prod = [0] * (2 * len(a) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+            num = _divmod(prod, _cyclotomic(self.e))[1]
+        else:  # a rational factor
+            num = tuple([x * b[0] for x in a])
+        return Cyclotomic(self.e, num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is int:
+            other = Cyclotomic(self.e, other)
+        elif not isinstance(other, Cyclotomic):
+            return NotImplemented
+        da, db = self.den, other.den
+        return self.e == other.e and (
+            self.num == other.num if da == db else
+            [x * db for x in self.num] == [y * da for y in other.num])
+
+    def __hash__(self):
+        # equal values have equal num[k] / den, each rounded the same way
+        return hash((self.e, *[x / self.den for x in self.num]))
+
+    def conjugate(self):
+        # zeta^k to zeta^(e - k)
+        num = self.num
+        coeffs = [num[0]] + [0] * (self.e - len(num)) + list(num[:0:-1])
+        return Cyclotomic(self.e, _divmod(coeffs, _cyclotomic(self.e))[1],
+                          self.den)
+
+    def __complex__(self):
+        num, den = self.num, self.den
+        if not any(num[1:]):  # a rational value
+            return complex(num[0] / den)
+        # twice the real part and 2i times the imaginary part, exactly: a
+        # rational part, zero included, is one int / int quotient
+        conj, parts = self.conjugate().num, []
+        for op, trig in ((add, math.cos), (sub, math.sin)):
+            c, d = list(map(op, num, conj)), 2 * den
+            parts.append(math.fsum([x / d * trig(2 * math.pi * k / self.e)
+                                    for k, x in enumerate(c) if x])
+                         if any(c[1:]) else c[0] / d)
+        return complex(*parts)
+
+    def rational(self):
+        """The value as a Fraction; ValueError unless it is rational."""
+        if any(self.num[1:]):
+            raise ValueError("not a rational value")
+        return Fraction(self.num[0], self.den)
+
+
+def dot(ints, values, e, over=1):
+    """sum(n * v for n, v in zip(ints, values)) / over for Cyclotomics of
+    Q(zeta_e), over > 0: one integer dot product per coordinate."""
+    if not values:
+        return Cyclotomic(e)
+    if len(values) == 1:
+        return Cyclotomic(e, tuple([x * ints[0] for x in values[0].num]),
+                          values[0].den * over)
+    dens = [v.den for v in values]
+    den = dens[0]
+    if dens.count(den) == len(dens):
+        weights = ints
+    else:
+        den = math.lcm(*dens)
+        weights = [n * (den // d) for n, d in zip(ints, dens)]
+    return Cyclotomic(e, tuple([sum(map(mul, weights, col)) for col
+                                in zip(*[v.num for v in values])]),
+                      den * over)
 
 
 def group_from_table(rows) -> FiniteGroup:
@@ -355,10 +463,12 @@ def group_from_json(obj) -> FiniteGroup:
         raise UnsupportedSpec(f"declared order {obj['order']} != table size {len(table)}")
     G = group_from_table(table)
     if "characters" in obj:
-        given = CharacterTable(G, [[complex(re_im[0], re_im[1]) for re_im in row]
-                                   for row in obj["characters"]])
-        if any(abs(a - b) > _ORTHO_TOL for r1, r2 in zip(
-                given.rows, G.character_table().rows) for a, b in zip(r1, r2)):
+        given = sorted(([complex(re_im[0], re_im[1]) for re_im in row]
+                        for row in obj["characters"]), key=_row_sort_key)
+        rows = G.character_table().rows
+        if [len(r) for r in given] != [len(r) for r in rows] or any(
+                abs(a - b) > _ORTHO_TOL for r1, r2 in zip(given, rows)
+                for a, b in zip(r1, r2)):
             raise DiagonalizationFailed("the given characters are not G's table")
     return G
 

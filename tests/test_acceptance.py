@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from wreath_centers.center import product_classes
-from wreath_centers.groups import builtin_group
+from wreath_centers.groups import builtin_group, dot
 from wreath_centers.partial import (
     GPartialPermutation,
     act,
@@ -393,9 +393,10 @@ def test_criterion_07_character_layer():
     if degs != [1, 1, 1, 1, 2]:
         failures.append("degrees %r, expected [1, 1, 1, 1, 2]" % degs)
     ident = F({0: (1, 1)})
-    sq = sum(abs(calc.x_value(fam, ident)) ** 2 for fam in fams)
-    if abs(sq - 8.0) > 1e-9:
-        failures.append("sum of squared degrees %r, expected 8 within 1e-9" % sq)
+    sq = sum(calc.x_value(fam, ident) * calc.x_value(fam, ident).conjugate()
+             for fam in fams)
+    if sq != 8:
+        failures.append("sum of squared degrees %r, expected 8" % sq)
 
     report(7, not failures, t0)
     assert not failures, "\n".join(failures[:20])
@@ -415,23 +416,24 @@ def test_criterion_08_isomorphism_pointwise():
                 failures.append("%s %s %r" % (gname, row["check"], row["input"]))
 
         # homomorphism at every point of size <= 7, not just the pinning
-        # prefix; images are memoized per (class, point)
+        # prefix; images are memoized per (class, point), and their terms
+        # per point, as verify_theorem71 does
         ncls = G.num_classes
         nchars = len(G.character_table().rows)
         calc = get_calculator(G)
         props = [fam for fam in families_up_to(3, ncls) if fam.is_proper()]
         points = list(families_up_to(7, nchars, kind="char"))
-        cache = {}
+        cache, terms = {}, {}
+        e = G.character_table().exponent
 
         def img(fam, pt):
             key = (fam, pt)
             hit = cache.get(key)
             if hit is None:
-                hit = image_eval(fam, pt, G, calc)
+                hit = image_eval(fam, pt, G, calc, terms)
                 cache[key] = hit
             return hit
 
-        exact = G.order == 1
         for i, d1 in enumerate(props):
             for d2 in props[i:]:
                 window = [fam for fam in families_up_to(d1.size + d2.size, ncls)
@@ -440,13 +442,10 @@ def test_criterion_08_isomorphism_pointwise():
                 kvec = [(fam, k) for fam, k in kvec if k]
                 for pt in points:
                     rhs = img(d1, pt) * img(d2, pt)
-                    lhs = sum(k * img(fam, pt) for fam, k in kvec)
+                    lhs = dot([k for _, k in kvec],
+                              [img(fam, pt) for fam, _ in kvec], e)
                     counts["homomorphism"] += 1
-                    if exact:
-                        bad = lhs != rhs
-                    else:
-                        bad = abs(lhs - rhs) > 1e-6 * max(1.0, abs(rhs))
-                    if bad:
+                    if lhs != rhs:
                         failures.append("%s hom %r * %r at %r: %r vs %r"
                                         % (gname, d1, d2, pt, lhs, rhs))
 
@@ -548,7 +547,7 @@ def test_criterion_10_determinism():
     t0 = time.perf_counter()
     failures = []
     commands = [
-        ("--group", "cyclic:3", "--seed", "5", "verify-iso",
+        ("--group", "cyclic:3", "verify-iso",
          "--size-cap", "2", "--point-size", "3", "--samples", "12"),
         ("--group", "cyclic:2", "classes", "--n", "4"),
         ("--group", "cyclic:3", "kcoeff", "--lam", '{"1": [1]}',

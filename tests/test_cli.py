@@ -40,7 +40,7 @@ def test_group_info_json():
 
 
 def test_byte_identical_repeats():
-    args = ("--group", "cyclic:3", "--seed", "5", "verify-iso",
+    args = ("--group", "cyclic:3", "verify-iso",
             "--size-cap", "2", "--point-size", "3", "--samples", "12")
     a, b = run(*args), run(*args)
     assert a.returncode == 0, a.stderr
@@ -211,8 +211,10 @@ def test_exit_usage_errors():
     assert run("--group", "cyclic:0", "group-info").returncode == 2
     assert run("--group", "cyclic:2", "ccoeff", "--n", "2",
                "--lam", "not json", "--del", "{}").returncode == 2
-    assert run("--group", "cyclic:2", "--tolerance", "-1",
-               "verify-iso").returncode == 2
+    # verify-iso compares exactly, and no option reads a seed
+    for removed in (("--tolerance", "1e-6"), ("--seed", "5")):
+        assert run("--group", "cyclic:2", *removed,
+                   "verify-iso").returncode == 2
     assert run("--group", "cyclic:2", "kcoeff",
                "--lam", '{"9": [1]}', "--del", "{}").returncode == 2
 
@@ -433,7 +435,8 @@ def test_env_config_and_override(tmp_path):
              env_extra={"WREATH_CENTERS_CONFIG": str(cfg)})
     assert json.loads(r2.stdout)["order"] == 2
     bad = tmp_path / "bad.json"
-    for obj in ({"grup": "cyclic:3"}, {"tolerance": "1e-6"}, {"workers": 2},
+    for obj in ({"grup": "cyclic:3"}, {"tolerance": 1e-6}, {"seed": 5},
+                {"workers": 2},
                 {"group": 5}, {"group": ["x"]}, {"cap_class_size": True},
                 {"max_n": True}, {"max_total_size": True}):
         bad.write_text(json.dumps(obj))
@@ -491,6 +494,21 @@ def test_verify_iso_output_shape():
     assert isinstance(rows, list)
     assert all(row["pass"] for row in rows)
     assert "checks passed" in r.stderr
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that closes stdout after one line ends the command with
+    exit code 141 and nothing on stderr: no BrokenPipeError traceback."""
+    proc = subprocess.Popen(
+        CMD + ["--group", "cyclic:2", "verify-iso", "--size-cap", "3",
+               "--point-size", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b"", err
 
 
 def test_verify_iso_non_abelian(capsys):
@@ -555,13 +573,13 @@ PINNED_STDOUT = {
     ("cyclic:5", "csv", "group-info"):
         "76ab7e7f051514feba1c013123ccb47cb45c546b07338726c1717593a612dccc",
     ("cyclic:2", "json", "verify-iso"):
-        "8fd169c8d8a1ea45f74a6d4c3c760d790f07de9ee38e31769da0db5c6a5e38b3",
+        "db7f2785cd6d120baa81aa5fac064b0935cf5cc2c20578385f55b248a4a4407e",
     ("cyclic:2", "csv", "verify-iso"):
-        "0bfa723722eb86624f393b06c6ff8a7e4ce352ea13c2f8a797c025b57fb57f94",
+        "b634e756ffb8ebad03091934f6e75333bc4b3b1d0d536daefc269fa20d8d9898",
     ("sym:3", "json", "verify-iso"):
-        "d9237f03252cc76e4e74c304f9970b0f00815f0d2c9162491f91af78fa777bd8",
+        "c6036ee576bf05ba8672ad765c66cddb8269d461d72c0cd8b2843e4691d3a3d8",
     ("sym:3", "csv", "verify-iso"):
-        "d356e37ebf234ec50114bae872e1de240bbb3fd85af64917dc7f3145be5b4ec6",
+        "14d2fafd709abc30ac5054d9a7f10ca199aa32de86fc5c270887bd0c3d3182c0",
     ("cyclic:2", "latex", "verify-iso"):
         "60e0d4c13461e34e397ff1c125b47d035dbcc8edebef70382eb70c9ba688e01a",
     ("sym:3", "latex", "verify-iso"):
@@ -704,8 +722,8 @@ PINNED_STDOUT = {
 @pytest.mark.parametrize("spec, fmt, cmd", sorted(PINNED_STDOUT))
 def test_stdout_pinned(capsys, spec, fmt, cmd):
     """Floats rounded to 12 significant digits, complex character values
-    as [re, im], abs_err unrounded in CSV, and every command's JSON, CSV
-    and LaTeX: the bytes are pinned."""
+    as [re, im], and every command's JSON, CSV and LaTeX: the bytes are
+    pinned."""
     assert main(["--group", spec, "--format", fmt, *PINNED_ARGV[cmd]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[
@@ -722,24 +740,24 @@ SWEEP_ARGV = {
 }
 SWEEP_STDOUT = {
     ("cyclic:2", "json"):
-        "c1ad84b277a0e2714026b66b1ee5cadbc78e7bd50703b11143ca6c7449e1219d",
+        "9abbdadae5999ac0fc08273b961c31e9fa7fb197db128cc7554edd06b2a70977",
     ("cyclic:2", "csv"):
-        "71185fb9509d337a5ae850f19d97304f0e365ad61a3198f8e884e243d28f7122",
+        "7ef64bda4fc647043399add585147357274d6047bf34b242e711b899568cdd96",
     ("cyclic:3", "json"):
-        "23b35e7c4ff79134a9cbdeebeca34f1923c6147f49c6b8051a9a97d6f7fe02a7",
+        "5035230de1f737e1e62a0da62c53f5e10dc200c865001a38d2324924400c3497",
     ("cyclic:3", "csv"):
-        "e80a2fdc863b452305969dffc25459319993e03f11ddf2ba7e2a33d06209df26",
+        "c4a8f08d25f96a1ebf18c6f8691b70c189c9db3569dec9d31062a82719cafa34",
     ("dihedral:2", "json"):
-        "aa86624e7158ffcbd9237baad53860ad193ee63bdc4699b79f1c89b9343162dd",
+        "73e18ce19918ca205c364258bfb4d9d550d629fa8fcbb813577108fea28d54bc",
     ("dihedral:2", "csv"):
-        "f8721f0c12f664d9d56a71ed54b4d2e10d8bad3638bfaaa3e86d26afade9b24a",
+        "1cb1b3c2c02408a9b10206d9649d555d4f5e507579e3273c0afb2073c36446d5",
 }
 
 
 @pytest.mark.parametrize("spec, fmt", sorted(SWEEP_STDOUT))
 def test_verify_iso_sweep_pinned(capsys, spec, fmt):
-    """Every lhs, rhs and (in CSV, unrounded) abs_err of the benchmark's
-    verify-iso sweeps is pinned."""
+    """Every lhs and rhs of the benchmark's verify-iso sweeps is
+    pinned."""
     assert main(["--group", spec, "--format", fmt, *SWEEP_ARGV[spec]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT[spec, fmt]

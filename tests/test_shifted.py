@@ -1,18 +1,20 @@
 """Shifted-symmetric layer: characters, sharp functions, the iso checks."""
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import class_map, q8_group
 from wreath_centers.errors import SizeMismatch
-from wreath_centers.groups import FiniteGroup, builtin_group
+from wreath_centers.groups import Cyclotomic, FiniteGroup, builtin_group
 from wreath_centers.partitions import mn_character, partitions_of
 from wreath_centers import shifted
 from wreath_centers.shifted import (
     CharacterCalculator, get_calculator, image_eval, p_sharp_eval,
-    p_sharp_family_eval, s_sharp_eval, verify_theorem71,
+    s_sharp_eval, verify_theorem71,
 )
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, class_order, families_of_size,
@@ -41,7 +43,8 @@ def test_x_value_matches_burnside_table(gname, n):
     types = [type_of(elems[c[0]], G) for c in W.classes]
     lams = list(families_of_size(n, G.num_classes, kind="char"))
     assert len(lams) == W.num_classes
-    mine = [tuple(calc.x_value(lam, t) for t in types) for lam in lams]
+    mine = [tuple(complex(calc.x_value(lam, t)) for t in types)
+            for lam in lams]
     key = lambda row: (round(row[0].real),
                        tuple((round(v.real, 6), round(v.imag, 6)) for v in row))
     for r1, r2 in zip(sorted(W.character_table().rows, key=key),
@@ -52,8 +55,9 @@ def test_x_value_matches_burnside_table(gname, n):
 
 
 def test_x_value_orthogonality_nonabelian_n3(s3):
-    """Row orthogonality over the full S3 wr S3 class data; cycle
-    products of length 3 with nonabelian labels are only covered here."""
+    """Row orthogonality over the full S3 wr S3 class data, exactly;
+    cycle products of length 3 with nonabelian labels are only covered
+    here."""
     calc = get_calculator(s3)
     classes = list(families_of_size(3, 3))
     sizes = [class_order(f, s3)[1] for f in classes]
@@ -62,14 +66,13 @@ def test_x_value_orthogonality_nonabelian_n3(s3):
             for lam in families_of_size(3, 3, kind="char")]
     for i, ri in enumerate(rows):
         for j, rj in enumerate(rows):
-            ip = sum(s * a * b.conjugate()
-                     for s, a, b in zip(sizes, ri, rj)) / order
-            assert abs(ip - (1 if i == j else 0)) < 1e-9
+            ip = sum(s * a * b.conjugate() for s, a, b in zip(sizes, ri, rj))
+            assert ip == (order if i == j else 0)
     ident = PartitionFamily({0: (1, 1, 1)})
-    degs = [calc.x_value(lam, ident).real
+    degs = [calc.x_value(lam, ident).rational()
             for lam in families_of_size(3, 3, kind="char")]
-    assert all(abs(d - round(d)) < 1e-9 for d in degs)
-    assert abs(sum(d * d for d in degs) - order) < 1e-6
+    assert all(d.denominator == 1 for d in degs)
+    assert sum(d * d for d in degs) == order
 
 
 def test_degrees_z2_s2(z2):
@@ -104,19 +107,21 @@ def test_dim_square_sum(z3, s3):
 
 def test_s_orthonormality(z3):
     """S_lam = sum_sig X^lam_sig / Z_sig P_sig is orthonormal for the
-    Hall inner product <P_sig, P_tau> = Z_sig [sig == tau]."""
+    Hall inner product <P_sig, P_tau> = Z_sig [sig == tau]: with L the
+    lcm of the Z_sig, sum_sig X^l1_sig conj(X^l2_sig) L / Z_sig is L
+    [l1 == l2], exactly."""
     calc = CharacterCalculator(z3)
     for n in (2, 3):
         fams = list(families_of_size(n, 3))
         zs = [class_order(sig, z3)[0] for sig in fams]
+        top = math.lcm(*zs)
         chfams = list(families_of_size(n, 3, kind="char"))
-        svecs = {lam: [calc.x_value(lam, sig) / z for sig, z in zip(fams, zs)]
-                 for lam in chfams}
         for l1 in chfams:
             for l2 in chfams:
-                ip = sum(a * b.conjugate() * z
-                         for a, b, z in zip(svecs[l1], svecs[l2], zs))
-                assert abs(ip - (1.0 if l1 == l2 else 0.0)) < 1e-8
+                ip = sum(calc.x_value(l1, sig)
+                         * calc.x_value(l2, sig).conjugate() * (top // z)
+                         for sig, z in zip(fams, zs))
+                assert ip == (top if l1 == l2 else 0)
 
 
 def test_x_value_size_mismatch(z2):
@@ -151,7 +156,8 @@ def test_image_eval_exact_trivial(triv):
     delta = PartitionFamily({0: (2,)})
     pt = PartitionFamily({0: (2,)}, kind="char")
     assert image_eval(delta, pt, triv) == 1
-    assert isinstance(image_eval(delta, pt, triv), Fraction)
+    assert isinstance(image_eval(delta, pt, triv), Cyclotomic)
+    assert image_eval(delta, pt, triv).rational() == 1
     # below the support size the sharp functions vanish
     assert image_eval(delta, PartitionFamily({0: (1,)}, kind="char"), triv) == 0
 
@@ -163,14 +169,15 @@ def test_hom_example_trivial(triv):
     points = [(2,), (2, 1), (3, 1), (2, 2), (4,)]
     for lam in points:
         pt = PartitionFamily({0: lam}, kind="char")
-        lhs = Fraction(0)
+        lhs = 0
         for gamma in families_up_to(4, 1):
             if gamma.size < 2:
                 continue
             k = k_coeff(delta, delta, gamma, triv)
             if k:
-                lhs += k * image_eval(gamma, pt, triv)
-        assert lhs == image_eval(delta, pt, triv) ** 2, lam
+                lhs = k * image_eval(gamma, pt, triv) + lhs
+        image = image_eval(delta, pt, triv)
+        assert lhs == image * image, lam
 
 
 @pytest.mark.parametrize("gname,n", [
@@ -204,10 +211,57 @@ def test_verify_theorem71_non_abelian(gname, size_cap, point_size):
     assert all(r["pass"] for r in rows)
 
 
+@pytest.mark.parametrize("gname", [
+    "trivial", "cyclic:2", "cyclic:3", "dihedral:2", "sym:3", "dihedral:4"])
+def test_rows_are_exact(gname):
+    """Every row passes, and as both sides are exact values, compared
+    with ==, every row prints its two sides as one string."""
+    rows = list(verify_theorem71(builtin_group(gname), size_cap=2,
+                                 point_size=4))
+    assert rows and all(r["pass"] for r in rows)
+    assert all(r["lhs"] == r["rhs"] for r in rows)
+
+
+def test_q8_rows_are_dihedral_4_rows():
+    """Q8, built from its table, and dihedral:4 share their character
+    table and class algebra.  Once Q8's classes and characters are
+    relabeled onto dihedral:4's, the two sweeps give the same rows, the
+    printed values included; every point is read, as a point cap would
+    keep a prefix that relabeling moves."""
+    q8, d4 = q8_group(), builtin_group("dihedral:4")
+    pi = class_map(q8, d4)
+    k = range(q8.num_classes)
+    vq, vd = q8.character_table().values, d4.character_table().values
+    sigma = [next(j for j, rd in enumerate(vd)
+                  if all(rq[c] == rd[pi[c]] for c in k)) for rq in vq]
+    assert sorted(sigma) == list(k)
+
+    def moved(fam, labels):
+        return json.dumps({str(labels[int(i)]): parts
+                           for i, parts in fam.items()}, sort_keys=True)
+
+    def rows(G, cls, chars):
+        out = Counter()
+        for r in verify_theorem71(G, size_cap=2, point_size=4,
+                                  point_cap=10 ** 9):
+            inp = r["input"]
+            if r["check"] == "chain":
+                key = (moved(inp["delta"], cls), moved(inp["lam"], chars))
+            else:
+                key = (tuple(sorted([moved(inp["delta1"], cls),
+                                     moved(inp["delta2"], cls)])),
+                       moved(inp["point"], chars))
+            out[r["check"], key, r["lhs"], r["rhs"], r["pass"]] += 1
+        return out
+
+    ident = list(k)
+    assert rows(q8, pi, sigma) == rows(d4, ident, ident)
+
+
 def test_verify_theorem71_small(z2, triv):
     rows = list(verify_theorem71(triv, size_cap=2, point_size=4))
     assert rows and all(r["pass"] for r in rows)
-    assert {"check", "input", "lhs", "rhs", "pass", "abs_err"} <= set(rows[0])
+    assert set(rows[0]) == {"check", "input", "lhs", "rhs", "pass"}
     assert {r["check"] for r in rows} == {"chain", "homomorphism"}
     rows2 = list(verify_theorem71(z2, size_cap=2, point_size=4, samples=40))
     assert rows2 and all(r["pass"] for r in rows2)
@@ -264,49 +318,53 @@ def test_verify_theorem71_evaluates_each_term_once(monkeypatch, gname):
     calls = Counter()
     real = shifted._term_value
 
-    def counting(mfam, point, degrees):
-        calls[(mfam, point)] += 1
-        return real(mfam, point, degrees)
+    def counting(entries, point, degrees, den):
+        calls[(entries, point)] += 1
+        return real(entries, point, degrees, den)
 
     monkeypatch.setattr(shifted, "_term_value", counting)
     rows = list(verify_theorem71(G, size_cap=2, point_size=4))
     assert rows and all(r["pass"] for r in rows)
     assert calls and set(calls.values()) == {1}
-    assert {mfam.kind for mfam, _ in calls} == {"char"}
+    assert {PartitionFamily(entries, kind="char").entries
+            for entries, _ in calls} == {entries for entries, _ in calls}
 
 
 @pytest.mark.parametrize("gname", ["sym:3", "cyclic:3"])
-def test_term_value_is_the_float_of_the_exact_term(monkeypatch, gname):
-    """Each term of a sweep, one integer quotient, is bit for bit the
-    float of the Fraction p#_mfam(point) / prod (dim gamma)^|mfam(gamma)|
-    that the term route computed before."""
+def test_term_value_is_the_exact_term(monkeypatch, gname):
+    """Each term of a sweep, an integer over the point's denominator, is
+    the exact p#_mu(point) / prod (dim gamma)^|mu(gamma)|, with p# read
+    alphabet by alphabet from p_sharp_eval."""
     G = builtin_group(gname)
     degrees = G.character_table().degrees
     seen = {}
     real = shifted._term_value
 
-    def recording(mfam, point, degs):
-        seen[mfam, point] = val = real(mfam, point, degs)
+    def recording(entries, point, degs, den):
+        seen[entries, point, den] = val = real(entries, point, degs, den)
         return val
 
     monkeypatch.setattr(shifted, "_term_value", recording)
     list(verify_theorem71(G, size_cap=2, point_size=4))
     assert any(seen.values()) and not all(seen.values())
-    for (mfam, point), val in seen.items():
-        exact = p_sharp_family_eval(mfam, point)
-        for g, parts in mfam.entries:
-            exact /= degrees[g] ** sum(parts)
-        assert val.hex() == float(exact).hex(), (mfam, point)
+    for (entries, point, den), val in seen.items():
+        exact = Fraction(1)
+        for g, parts in entries:
+            exact *= p_sharp_eval(parts, point.get(g)) / degrees[g] ** sum(parts)
+        assert Fraction(val, den) == exact, (entries, point)
 
 
 def test_term_value_divides_once():
-    """p#_(1)((1)) p#_(1)((11)) / (3 * 3) = 11/9 is one correctly rounded
-    division; dividing alphabet by alphabet would round twice, and
-    (1/3) * (11/3) is not the float nearest 11/9."""
-    mfam = PartitionFamily({3: (1,), 4: (1,)}, kind="char")
+    """p#_(1)((1)) p#_(1)((11)) / (3 * 3) = 11/9, as an integer over the
+    point's denominator 3 * 3^11: each alphabet divides that denominator
+    by a factor it holds, so every quotient is exact."""
+    entries = ((3, (1,)), (4, (1,)))
     point = PartitionFamily({3: (1,), 4: (11,)}, kind="char")
-    assert (1 / 3) * (11 / 3) != 11 / 9
-    assert shifted._term_value(mfam, point, (1, 1, 2, 3, 3)) == 11 / 9
+    degrees = (1, 1, 2, 3, 3)
+    den = shifted._point_data(point, degrees)[0]
+    assert den == 3 ** 12
+    assert Fraction(shifted._term_value(entries, point, degrees, den),
+                    den) == Fraction(11, 9)
 
 
 @pytest.mark.parametrize("gname", ["cyclic:3", "sym:3", "dihedral:4"])
@@ -320,21 +378,23 @@ def test_dim_closed_form_is_the_identity_character_value(gname):
         val = calc.x_value(lam, ident)
         dim = calc.dim(lam)
         assert isinstance(dim, int) and dim > 0
-        assert abs(val - dim) <= 1e-9 * dim, (lam, val, dim)
+        assert val == dim, (lam, val, dim)
 
 
 @pytest.mark.parametrize("gname", ["sym:3", "dihedral:4"])
 def test_x_value_is_the_full_expansion_sum(gname):
-    """Reading only the terms of lam's per-alphabet sizes gives, bit for
-    bit, the sum over every term of expand_class_family."""
+    """Reading only the terms within lam's per-alphabet sizes gives the
+    sum over every term of the expansion of delta, exactly."""
     G = builtin_group(gname)
     calc = CharacterCalculator(G)
     for n in range(4):
         for delta in families_of_size(n, G.num_classes):
-            expansion = calc.expand_class_family(delta)
+            expansion = [term for terms in calc.conjugate_terms(delta).values()
+                         for term in terms]
             for lam in families_of_size(n, G.num_classes, kind="char"):
-                total = 0j
-                for mfam, c in expansion.items():
+                total = 0
+                for entries, cc in expansion:
+                    mfam = PartitionFamily(entries, kind="char")
                     prod = 1
                     for g in set(lam.indices()) | set(mfam.indices()):
                         lpart, mpart = lam.get(g), mfam.get(g)
@@ -343,13 +403,5 @@ def test_x_value_is_the_full_expansion_sum(gname):
                             break
                         prod *= mn_character(lpart, mpart)
                     if prod:
-                        total += complex(c).conjugate() * prod
+                        total = cc * prod + total
                 assert calc.x_value(lam, delta) == total, (lam, delta)
-
-
-def test_p_sharp_family_index_agnostic(z2):
-    # the family evaluator reads alphabet i from the point's i entry
-    fam = PartitionFamily({1: (2,)}, kind="char")
-    pt = {1: (3, 1)}
-    assert p_sharp_family_eval(fam, pt) == p_sharp_eval((2,), (3, 1))
-    assert p_sharp_family_eval(fam, {1: ()}) == 0

@@ -2,13 +2,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
 from math import comb
 
 import pytest
 
+from conftest import class_map, q8_group
 from wreath_centers.errors import GuardrailExceeded, NotProper
-from wreath_centers.groups import builtin_group, group_from_table
+from wreath_centers.groups import builtin_group
 from wreath_centers.partial import (
     canonical_partial_representative, class_size_partial,
     enumerate_partial_class, pp_multiply, pp_type)
@@ -310,44 +310,15 @@ def test_k_stream_size_counts_the_streamed_elements():
     assert k_stream_size(lam, delta, triv) == 6 * 2
 
 
-def _q8():
-    """Q8 from its multiplication table: element 4s + u stands for
-    (-1)^s times the unit u of (1, i, j, k)."""
-    # units[u][v] = (s, w) with unit_u * unit_v = (-1)^s unit_w
-    units = [[(0, 0), (0, 1), (0, 2), (0, 3)],
-             [(0, 1), (1, 0), (0, 3), (1, 2)],
-             [(0, 2), (1, 3), (1, 0), (0, 1)],
-             [(0, 3), (0, 2), (1, 1), (1, 0)]]
-    table = [[0] * 8 for _ in range(8)]
-    for a in range(8):
-        for b in range(8):
-            s, w = units[a % 4][b % 4]
-            table[a][b] = 4 * ((a // 4 + b // 4 + s) % 2) + w
-    return group_from_table(table)
-
-
-def _class_constants(G):
-    """c[a][b][c]: pairs (x, y) in C_a x C_b with x y equal to the first
-    member of C_c, the structure constants of Z(C[G])."""
-    k = range(G.num_classes)
-    return [[[sum(G.mul[x][y] == G.classes[c][0]
-                  for x in G.classes[a] for y in G.classes[b])
-              for c in k] for b in k] for a in k]
-
-
 def test_q8_k_vectors_equal_dihedral_4():
     """Q8 and dihedral:4 have isomorphic class algebras; under the class
     map that carries one set of structure constants to the other, their
     k-vectors agree on every ordered pair of nonempty families of size
     <= 2.  Every value compared is an exact integer."""
-    q8, d4 = _q8(), builtin_group("dihedral:4")
+    q8, d4 = q8_group(), builtin_group("dihedral:4")
     assert any(q8.mul[a][b] != q8.mul[b][a]
                for a in range(8) for b in range(8))
-    cq, cd = _class_constants(q8), _class_constants(d4)
-    k = range(q8.num_classes)
-    pi = next(p for p in permutations(k)
-              if all(cq[a][b][c] == cd[p[a]][p[b]][p[c]]
-                     for a in k for b in k for c in k))
+    pi = class_map(q8, d4)
     move = lambda fam: PartitionFamily({pi[c]: parts
                                         for c, parts in fam.entries})
     fams = [f for f in families_up_to(2, q8.num_classes) if f.size]
