@@ -803,8 +803,9 @@ def main(argv=None):
             raise err.CapExceeded(
                 f"n={n} exceeds the configured max_n={args.max_n}")
         payload, ok = args.fn(G, args)
-        # inside the try: a streamed payload computes as it is written
+        # inside the try: streamed rows and the last buffer's flush
         _emit(payload, args)
+        sys.stdout.flush()
         if callable(ok):
             ok = ok()
     except (UsageError, err.WreathCentersError) as exc:

@@ -273,15 +273,20 @@ class Cyclotomic:
         self.e, self.num, self.den = e, num, den
 
     def __add__(self, other):
-        if type(other) is int:
-            other = Cyclotomic(self.e, other)
+        num, da = self.num, self.den
+        if type(other) is int:  # sum() starts from 0
+            return self if not other else Cyclotomic(
+                self.e, (num[0] + other * da, *num[1:]), da)
+        if da == other.den:
+            return Cyclotomic(self.e, tuple(map(add, num, other.num)), da)
         return dot((1, 1), (self, other), self.e)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if type(other) is int:
-            other = Cyclotomic(self.e, other)
+            return Cyclotomic(self.e, tuple([x * other for x in self.num]),
+                              self.den)
         a, b = self.num, other.num
         if any(b[1:]):
             prod = [0] * (2 * len(a) - 1)
@@ -342,9 +347,6 @@ def dot(ints, values, e, over=1):
     Q(zeta_e), over > 0: one integer dot product per coordinate."""
     if not values:
         return Cyclotomic(e)
-    if len(values) == 1:
-        return Cyclotomic(e, tuple([x * ints[0] for x in values[0].num]),
-                          values[0].den * over)
     dens = [v.den for v in values]
     den = dens[0]
     if dens.count(den) == len(dens):

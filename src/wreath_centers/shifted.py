@@ -14,7 +14,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 from operator import le
 
 from .errors import SizeMismatch
@@ -59,6 +59,7 @@ class CharacterCalculator:
         self.chars = G.character_table()
         self._terms = BoundedCache(4096)
         self._within = BoundedCache(4096)
+        self._points = BoundedCache(4096)
         self._x_cache = BoundedCache(4096)
 
     def conjugate_terms(self, fam):
@@ -84,8 +85,9 @@ class CharacterCalculator:
                     states = nxt
             hit = self._terms[fam] = {}
             for state, cc in states.items():
-                hit.setdefault(tuple(map(sum, state)), []).append((tuple(
-                    (d, parts) for d, parts in enumerate(state) if parts), cc))
+                if cc != 0:  # the paths into one state may cancel
+                    hit.setdefault(tuple(map(sum, state)), []).append(
+                        (tuple((d, p) for d, p in enumerate(state) if p), cc))
         return hit
 
     def terms_within(self, fam, sizes):
@@ -99,6 +101,20 @@ class CharacterCalculator:
                 if all(map(le, own, sizes)) for t in terms]
         return hit
 
+    def point_data(self, point):
+        """(den, sizes, values) at a char family point: den, the product of
+        dim point(g) (dim g)^|point(g)|, makes each term value whole;
+        sizes[g] = |point(g)|; values[entries] = _term_value(entries, ...)."""
+        hit = self._points.get(point)
+        if hit is None:
+            degrees = self.chars.degrees
+            sizes = tuple(sum(point.get(g)) for g in range(len(degrees)))
+            den = prod(dim_partition(parts) * degrees[g] ** sum(parts)
+                       for g, parts in point.entries)
+            hit = self._points[point] = (den, sizes, _Memo(
+                lambda key: _term_value(key, point, degrees, den)))
+        return hit
+
     def x_value(self, lam, delta):
         """X^lam_delta for |lam| = |delta|, exactly; lam char-indexed,
         delta a type."""
@@ -110,8 +126,7 @@ class CharacterCalculator:
         if hit is not None:
             return hit
         # a term contracts to zero unless its sizes are lam's
-        terms = self.conjugate_terms(delta).get(
-            _point_data(lam, self.chars.degrees)[1], ())
+        terms = self.conjugate_terms(delta).get(self.point_data(lam)[1], ())
         lparts = [parts for _, parts in lam.entries]
         total = dot([prod(map(mn_character, lparts,
                               [parts for _, parts in entries]))
@@ -168,56 +183,37 @@ def s_sharp_eval(rho, lam):
     return Fraction(perm(sum(lam), sum(rho)) * cnt, dim_partition(lam))
 
 
-def _image_factor(delta, G, top=0):
-    """|G|^{|delta|} / Z_delta = |C_delta| / |delta|! as a numerator over
-    top! (top >= |delta|): the images at one point then share one den."""
-    top = max(top, delta.size)
-    return (class_order(delta, G)[1] * perm(top, top - delta.size),
-            factorial(top))
-
-
-@lru_cache(maxsize=4096)
-def _point_data(point, degrees):
-    """(den, sizes): den = prod_g dim(point(g)) (dim g)^|point(g)| makes each
-    term value at point a whole number; sizes[g] = |point(g)|."""
-    sizes = [0] * len(degrees)
-    for g, parts in point.entries:
-        sizes[g] = sum(parts)
-    return (prod(dim_partition(parts) * degrees[g] ** sum(parts)
-                 for g, parts in point.entries), tuple(sizes))
-
-
-def image_eval(delta, point, G, calc=None, terms=None, factor=None):
+def image_eval(delta, point, G, calc=None, order=None):
     """Image of C_{delta;inf} under the isomorphism at a character-indexed
     family of partitions, (|G|^{|delta|} / Z_delta) P#_delta(point), as a
-    Cyclotomic.  terms, a dict of point -> {entries of a char family:
-    value}, memoizes term values across calls, as the images of different
-    delta share terms; factor, when given, is _image_factor(delta, G, top)."""
-    num, zden = _image_factor(delta, G) if factor is None else factor
+    Cyclotomic over n! den (n = |point|, den from point_data) unless it is
+    0; order, when given, is |C_delta| = class_order(delta, G)[1]."""
     calc = calc or get_calculator(G)
+    if order is None:
+        order = class_order(delta, G)[1]
     # P_delta expanded into character alphabets, p# per alphabet.
     # Conjugate coefficients keep the alphabet labeled gamma aligned with
     # the irreducibles labeled gamma (the twisted representation on the
     # full gamma row has character values gamma(c), not their
     # conjugates).  dim Lambda carries (dim gamma)^|Lambda(gamma)|, so
     # each term is divided by (dim gamma)^|mu(gamma)|, once per box.
-    degrees = calc.chars.degrees
-    den, sizes = _point_data(point, degrees)
-    known = {} if terms is None else terms.setdefault(point, {})
+    den, sizes, known = calc.point_data(point)
+    n = point.size
+    # |G|^|delta| / Z_delta = |C_delta| / |delta|!, written over n!; no
+    # term fits a point smaller than delta
+    scale = order * perm(n, n - delta.size) if n >= delta.size else 0
     ints, coeffs = [], []
     for key, cc in calc.terms_within(delta, sizes):
-        val = known.get(key)
-        if val is None:
-            val = known[key] = _term_value(key, point, degrees, den)
+        val = known[key]
         if val:
-            ints.append(val * num)
+            ints.append(val * scale)
             coeffs.append(cc)
-    return dot(ints, coeffs, calc.chars.exponent, zden * den)
+    return dot(ints, coeffs, calc.chars.exponent, factorial(n) * den)
 
 
 def _term_value(entries, point, degrees, den):
     """p#_mu(point) den / prod_gamma (dim gamma)^{|mu(gamma)|}, for mu the
-    char family of entries and den that of _point_data(point): each
+    char family of entries and den that of point_data(point): each
     alphabet divides by a factor den holds, so the result is an integer."""
     num = den
     for g, parts in entries:
@@ -242,17 +238,17 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
         universal coefficients and applying the map term-wise matches
         the product of the images at character-indexed points.
 
-    Each image and expansion term is evaluated once per point per sweep.
+    Each image is evaluated once per point per sweep, and each expansion
+    term once per point per calculator.
     Both sides are exact values of Q(zeta_e), e the exponent of G, so
     each check is ==.
     """
     calc = get_calculator(G)
     nchars = len(calc.chars.rows)
     e = calc.chars.exponent
-    factors = _Memo(lambda fam: _image_factor(fam, G, 2 * size_cap))
+    orders = _Memo(lambda fam: class_order(fam, G)[1])
     # one dict per family, shared by every row that names it
     jsons = _Memo(lambda fam: fam.to_json())
-    terms = {}
 
     def row(check, inp, lhs, rhs):
         # equal values print equal strings, so a passing row formats once
@@ -268,15 +264,16 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     ends = list(accumulate(family_count(s, nchars)
                            for s in range(point_size + 1)))
     images = {pt: _Memo(lambda fam, pt=pt: image_eval(
-        fam, pt, G, calc, terms, factors[fam])) for pt in points}
+        fam, pt, G, calc, orders[fam])) for pt in points}
     dims = [calc.dim(lam) for lam in points]
     for delta in deltas:
-        num, zden = factors[delta]
+        order = orders[delta]
         for lam, dim in zip(points, dims):
-            # the reference side: central characters, not the image route
+            # the reference side, central characters: |G|^|delta| / Z_delta
+            # (|lam| falling |delta|) = order binomial(|lam|, |delta|)
             rhs = Cyclotomic(e) if lam.size < delta.size else dot(
-                [num * perm(lam.size, delta.size)],
-                [calc.x_value(lam, delta.pad(lam.size))], e, zden * dim)
+                [order * comb(lam.size, delta.size)],
+                [calc.x_value(lam, delta.pad(lam.size))], e, dim)
             yield row("chain", {"delta": jsons[delta], "lam": jsons[lam]},
                       images[lam][delta], rhs)
 

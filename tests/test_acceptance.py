@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from wreath_centers.center import product_classes
-from wreath_centers.groups import builtin_group, dot
+from wreath_centers.groups import builtin_group
 from wreath_centers.partial import (
     GPartialPermutation,
     act,
@@ -416,21 +416,19 @@ def test_criterion_08_isomorphism_pointwise():
                 failures.append("%s %s %r" % (gname, row["check"], row["input"]))
 
         # homomorphism at every point of size <= 7, not just the pinning
-        # prefix; images are memoized per (class, point), and their terms
-        # per point, as verify_theorem71 does
+        # prefix; images are memoized per (class, point)
         ncls = G.num_classes
         nchars = len(G.character_table().rows)
         calc = get_calculator(G)
         props = [fam for fam in families_up_to(3, ncls) if fam.is_proper()]
         points = list(families_up_to(7, nchars, kind="char"))
-        cache, terms = {}, {}
-        e = G.character_table().exponent
+        cache = {}
 
         def img(fam, pt):
             key = (fam, pt)
             hit = cache.get(key)
             if hit is None:
-                hit = image_eval(fam, pt, G, calc, terms)
+                hit = image_eval(fam, pt, G, calc)
                 cache[key] = hit
             return hit
 
@@ -442,8 +440,7 @@ def test_criterion_08_isomorphism_pointwise():
                 kvec = [(fam, k) for fam, k in kvec if k]
                 for pt in points:
                     rhs = img(d1, pt) * img(d2, pt)
-                    lhs = dot([k for _, k in kvec],
-                              [img(fam, pt) for fam, _ in kvec], e)
+                    lhs = sum(k * img(fam, pt) for fam, k in kvec)
                     counts["homomorphism"] += 1
                     if lhs != rhs:
                         failures.append("%s hom %r * %r at %r: %r vs %r"

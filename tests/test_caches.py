@@ -52,7 +52,7 @@ def test_calculator_caches_evict_oldest(z2):
     calc = CharacterCalculator(z2)
     caches = {name: value for name, value in vars(calc).items()
               if isinstance(value, BoundedCache)}
-    assert set(caches) == {"_terms", "_within", "_x_cache"}
+    assert set(caches) == {"_terms", "_within", "_points", "_x_cache"}
     for cache in caches.values():
         cache.maxsize = 3
     ref = CharacterCalculator(z2)

@@ -511,6 +511,23 @@ def test_closed_pipe_exits_quietly():
     assert err == b"", err
 
 
+def test_closed_pipe_before_any_read_exits_quietly():
+    """Output smaller than one buffer is flushed inside main, so a reader
+    that is gone before the first byte also gets exit 141 and an empty
+    stderr, not the interpreter's exit-time flush error.  stdout is
+    block-buffered here, as it is by default for a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(CMD + ["--group", "sym:3", "group-info"],
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_verify_iso_non_abelian(capsys):
     """The image route weighs each character alphabet by its degree, so
     every check passes on a non-abelian G too."""

@@ -116,6 +116,9 @@ class _Discard:
     def write(self, text):
         self.size += len(text)
 
+    def flush(self):
+        pass
+
 
 def test_verify_iso_peak_memory_below_its_output(monkeypatch):
     """verify-iso writes its rows as the sweep yields them: the peak

@@ -313,8 +313,9 @@ def test_verify_theorem71_shares_factors_and_families(monkeypatch, gname):
 @pytest.mark.parametrize("gname", ["cyclic:2", "sym:3"])
 def test_verify_theorem71_evaluates_each_term_once(monkeypatch, gname):
     """The character-alphabet expansions of different delta share terms;
-    one call computes each (character family, point) term once."""
+    one calculator computes each (character family, point) term once."""
     G = builtin_group(gname)
+    shifted.get_calculator.cache_clear()  # no term values from other tests
     calls = Counter()
     real = shifted._term_value
 
@@ -337,6 +338,7 @@ def test_term_value_is_the_exact_term(monkeypatch, gname):
     alphabet by alphabet from p_sharp_eval."""
     G = builtin_group(gname)
     degrees = G.character_table().degrees
+    shifted.get_calculator.cache_clear()  # no term values from other tests
     seen = {}
     real = shifted._term_value
 
@@ -360,8 +362,10 @@ def test_term_value_divides_once():
     by a factor it holds, so every quotient is exact."""
     entries = ((3, (1,)), (4, (1,)))
     point = PartitionFamily({3: (1,), 4: (11,)}, kind="char")
-    degrees = (1, 1, 2, 3, 3)
-    den = shifted._point_data(point, degrees)[0]
+    calc = CharacterCalculator(builtin_group("sym:4"))
+    degrees = calc.chars.degrees
+    assert degrees == (1, 1, 2, 3, 3)
+    den = calc.point_data(point)[0]
     assert den == 3 ** 12
     assert Fraction(shifted._term_value(entries, point, degrees, den),
                     den) == Fraction(11, 9)
