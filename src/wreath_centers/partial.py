@@ -7,7 +7,6 @@ trivially (identity permutation, identity label) to the union of the
 supports and multiplies there.  Positions are 1-based throughout.
 """
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -229,7 +228,6 @@ def enumerate_partial_class(lam, n, G):
         yield GPartialPermutation._of(sup, omega, labels)
 
 
-@lru_cache(maxsize=1024)
 def canonical_partial_representative(fam, G):
     """Deterministic element of C_{fam;|fam|} with support {1..|fam|}."""
     k = fam.size

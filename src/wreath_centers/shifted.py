@@ -166,7 +166,6 @@ def _p_sharp_scaled(delta, lam):
     return perm(ntop, nlow) * mn_character(lam, padded), dim_partition(lam)
 
 
-@lru_cache(maxsize=4096)
 def p_sharp_eval(delta, lam):
     """p#_delta(lam) = (|lam| falling |delta|) / dim lam * chi^lam at
     delta padded with 1-parts; 0 when |lam| < |delta|.  Exact."""

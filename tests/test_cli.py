@@ -39,6 +39,25 @@ def test_group_info_json():
     assert payload["backend"] == "python"
 
 
+# every builtin spec up to the order cap; cyclic:1, sym:1, sym:2 and
+# dihedral:1 repeat the tables of trivial and cyclic:2
+BUILTIN_SPECS = (["trivial"] + [f"cyclic:{k}" for k in range(2, 25)]
+                 + ["sym:3", "sym:4"] + [f"dihedral:{k}" for k in range(2, 13)])
+
+
+def test_group_info_prints_exact_characters(capsys):
+    """group-info prints each exact character value as floats, so an exact
+    0 prints as 0.0 and never as float noise, and the exact orthogonality
+    check leaves a residual of 0.0."""
+    for spec in BUILTIN_SPECS:
+        assert main(["--group", spec, "group-info"]) == 0
+        chars = json.loads(capsys.readouterr().out)["characters"]
+        assert chars["orthogonality_residual"] == 0.0, spec
+        noise = [x for row in chars["rows"] for value in row for x in value
+                 if 0 < abs(x) < 1e-12]
+        assert not noise, (spec, noise)
+
+
 def test_byte_identical_repeats():
     args = ("--group", "cyclic:3", "verify-iso",
             "--size-cap", "2", "--point-size", "3", "--samples", "12")
@@ -257,10 +276,17 @@ def test_exit_size_errors():
     assert r.returncode == 4
 
 
-def test_exit_cap_exceeded():
+def test_exit_cap_exceeded(capsys):
     r = run("--group", "cyclic:2", "--cap-class-size", "10",
             "ccoeff", "--n", "8", "--lam", '{"1": [8]}', "--del", '{"1": [8]}')
     assert r.returncode == 5
+    # the fixed limits: n above the packed-key limit 255, and |lam|+|del|
+    # or 2 * --size-cap above 12
+    for argv in (["classes", "--n", "256"],
+                 ["kcoeff", "--lam", '{"0": [7]}', "--del", '{"0": [6]}'],
+                 ["verify-iso", "--size-cap", "7"]):
+        assert main(["--group", "trivial", *argv]) == 5, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_listing_cap_checked_before_listing():
@@ -443,6 +469,12 @@ def test_env_config_and_override(tmp_path):
         r = run("group-info", env_extra={"WREATH_CENTERS_CONFIG": str(bad)})
         assert r.returncode == 2, obj
         assert r.stderr.startswith("error: "), obj
+    # the limits on n and on |lam|+|del| are fixed, not settings
+    for obj in ({"max_n": 255}, {"max_total_size": 12}):
+        bad.write_text(json.dumps(obj))
+        r = run("group-info", env_extra={"WREATH_CENTERS_CONFIG": str(bad)})
+        assert r.returncode == 2, obj
+        assert "unknown config keys" in r.stderr, obj
 
 
 def test_parser_built_once_and_reused(monkeypatch, capsys, tmp_path):
@@ -578,15 +610,15 @@ PINNED_ARGV = {
 # bytes in all three formats.
 PINNED_STDOUT = {
     ("sym:3", "json", "group-info"):
-        "2a4d88263ecd31c9344805c1e0b2b09da9406b2b867d758e265288942bef7fd6",
+        "9ad4e4aadab673259cf6d1830fe1d6ca1895e5b333e06d4ee9955bdfb9415b23",
     ("sym:3", "csv", "group-info"):
         "414e061d186266cebc159c56958d62ab3d2c0fcc4b2c99092a118b896fcebde5",
     ("dihedral:4", "json", "group-info"):
-        "ca26939fae1f72f18690cfb189336166af75fcdb3b03fa91e10a0a86ed74ac6e",
+        "b6a42df507f70b9190438dca5176b9497e5620881576334033cabd0bd0d77144",
     ("dihedral:4", "csv", "group-info"):
         "70b308308b9f2605fe4dd1037353c658d67cf606794f56bd30380f01c9c52d1e",
     ("cyclic:5", "json", "group-info"):
-        "00758686f7e9dc3b3a52c751894b11b5fc1fa0f46e7dec110a8be3e9d6011743",
+        "ceb4fb09262c3b6b88cac4c43ee8a0a4e7a85b7fd96a5801a1e749a1cde3d46d",
     ("cyclic:5", "csv", "group-info"):
         "76ab7e7f051514feba1c013123ccb47cb45c546b07338726c1717593a612dccc",
     ("cyclic:2", "json", "verify-iso"):

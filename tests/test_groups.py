@@ -8,7 +8,8 @@ from wreath_centers.errors import (
     DiagonalizationFailed, NoIdentity, NotAssociative, NotBijectiveRow,
     UnsupportedSpec)
 from wreath_centers.groups import (
-    builtin_group, group_from_json, group_from_table, resolve_group)
+    CharacterTable, Cyclotomic, builtin_group, group_from_json,
+    group_from_table, resolve_group)
 
 
 def test_trivial():
@@ -65,6 +66,25 @@ def test_character_orthogonality_residual():
                 ip = sum(len(G.classes[c]) * rows[i][c] * rows[j][c].conjugate()
                          for c in range(k)) / G.order
                 assert abs(ip - (1 if i == j else 0)) < 1e-9
+
+
+def test_perturbed_table_is_refused():
+    """The exact orthogonality check refuses a table with any one value
+    moved by 1 or by zeta, and accepts the table as Dixon's method gives
+    it."""
+    for spec in ("sym:3", "cyclic:3", "dihedral:4"):
+        chars = builtin_group(spec).character_table()
+        e = chars.exponent
+        zeta = Cyclotomic(e, (0, 1) + (0,) * (len(chars.values[0][0].num) - 2))
+        rebuilt = CharacterTable(chars.group, chars.values, e)
+        assert rebuilt.values == chars.values and rebuilt.rows == chars.rows
+        for i, row in enumerate(chars.values):
+            for c in range(len(row)):
+                for step in (1, zeta):
+                    values = [list(r) for r in chars.values]
+                    values[i][c] = values[i][c] + step
+                    with pytest.raises(DiagonalizationFailed):
+                        CharacterTable(chars.group, values, e)
 
 
 def test_z2_z3_tables():
