@@ -8,16 +8,32 @@ histogram recovers a whole product expansion at once:
     #{(x,y) : xy in C_Gamma} = |C_Lambda| * #{y : x0 y in C_Gamma}
 
 for any fixed x0 in C_Lambda, and the coefficient is that divided by
-|C_Gamma| (the division is exact, asserted).
+|C_Gamma| (the division is exact, asserted).  The characters of
+G wr S_n give the same coefficients by the Frobenius formula, which is
+cheaper where the streamed class is large against the character table.
 """
 
+from functools import lru_cache
+from math import factorial
+
 from .errors import CapExceeded, SizeMismatch
+from .groups import columns, inner
 from .kernels import decode_type_key, type_histogram
-from .wreath import canonical_representative, class_order
+from .wreath import (canonical_representative, class_order, families_of_size,
+                     family_count)
 
 __all__ = ["AlgebraVector", "product_classes", "divide_histogram", "DEFAULT_CLASS_CAP"]
 
 DEFAULT_CLASS_CAP = 5_000_000
+# The route choice of product_classes charges each call the whole
+# character table of G wr S_n, as a lone call pays it.  A table value
+# takes 6-17 us to build, the kernel 0.1-20 us per streamed element on
+# classes above 10^4.  On a grid of 66 products timed cold, 8 gives the
+# chosen route the least geometric-mean slowdown (1.05x) and the fewest
+# slower choices (4).  Tables above MAX_TABLE_VALUES, beyond the grid's
+# largest (48,841 values), are never built.
+VALUE_COST = 8
+MAX_TABLE_VALUES = 50_000
 
 
 class AlgebraVector:
@@ -68,14 +84,34 @@ def _check_sizes(n, *fams):
 
 
 def product_classes(lam, delta, n, G, cap=DEFAULT_CLASS_CAP):
-    """Full expansion C_lam * C_delta = sum_gamma c * C_gamma."""
+    """Full expansion C_lam * C_delta = sum_gamma c * C_gamma.
+
+    Two exact routes give the same vector, and a closed form over the
+    input picks one.  The kernel streams the smaller class, so its work
+    is at most that class's size.  The characters read a table of
+    |Irr|^2 values, |Irr| = family_count(n, number of classes of G),
+    built once per (G, n) and kept for later calls there.  The
+    characters run when |Irr|^2 <= MAX_TABLE_VALUES and
+    |Irr|^2 * VALUE_COST < the streamed size, the kernel otherwise; the
+    rule charges every call the whole build and reads no cache.  The
+    cap applies to both routes alike.
+    """
     _check_sizes(n, lam, delta)
     size_l = class_order(lam, G)[1]
     size_d = class_order(delta, G)[1]
-    if min(size_l, size_d) > cap:
+    streamed = min(size_l, size_d)
+    if streamed > cap:
         raise CapExceeded(
             "smallest streamable class has %d elements, cap is %d"
-            % (min(size_l, size_d), cap))
+            % (streamed, cap))
+    values = family_count(n, G.num_classes) ** 2
+    if values <= MAX_TABLE_VALUES and values * VALUE_COST < streamed:
+        return _by_characters(lam, delta, n, G)
+    return _by_kernel(lam, delta, n, G, size_l, size_d)
+
+
+def _by_kernel(lam, delta, n, G, size_l, size_d):
+    """C_lam * C_delta from one type histogram of the smaller class."""
     # x0 y and y x0 are conjugate, so either factor can be the fixed one
     if size_d <= size_l:
         fixed, streamed, factor = lam, delta, size_l
@@ -84,6 +120,42 @@ def product_classes(lam, delta, n, G, cap=DEFAULT_CLASS_CAP):
     hist = type_histogram(G, streamed, canonical_representative(fixed, n, G))
     return AlgebraVector(n, divide_histogram(
         hist, n, G, factor, lambda gam: class_order(gam, G)[1]))
+
+
+def _by_characters(lam, delta, n, G):
+    """C_lam * C_delta by the Frobenius formula over Irr(H), H = G wr S_n:
+    c^gamma = |C_lam| |C_delta| / |H| sum_Lambda X(lam) X(delta)
+    conj(X(gamma)) / dim Lambda, that is the sum of (|H| / dim Lambda)
+    X(lam) X(delta) conj(X(gamma)) over Z_lam Z_delta (exact, asserted)."""
+    weights, table = _wreath_characters(G, n)
+    w = columns([x * y * c for x, y, c in zip(table[lam][0], table[delta][0],
+                                             weights)])
+    over = class_order(lam, G)[0] * class_order(delta, G)[0]
+    e = G.character_table().exponent
+    terms = {}
+    for gam, (_, conj) in table.items():
+        c = inner(w, conj, e).rational() / over
+        assert c.denominator == 1, "a structure constant is not an integer"
+        terms[gam] = c.numerator
+    return AlgebraVector(n, terms)
+
+
+@lru_cache(maxsize=4)
+def _wreath_characters(G, n):
+    """The character table of H = G wr S_n as (weights, table): weights[i]
+    is |H| / dim Lambda_i over the irreducibles Lambda_i, and table maps
+    each class gamma to its values X^{Lambda_i}(gamma) and the columns()
+    of their conjugates."""
+    # shifted imports this module through universal
+    from .shifted import get_calculator
+    calc = get_calculator(G)
+    irr = list(families_of_size(n, len(calc.chars.values), "char"))
+    order = G.order ** n * factorial(n)
+    classes = list(families_of_size(n, G.num_classes))
+    table = {}
+    for gam, values in zip(classes, calc.x_table(classes, irr)):
+        table[gam] = values, columns([v.conjugate() for v in values])
+    return [order // calc.dim(lam) for lam in irr], table
 
 
 def divide_histogram(hist, n, G, factor, class_size):

@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import (DiagonalizationFailed, NoIdentity, NotAssociative,
                      NotBijectiveRow, UnsupportedSpec)
@@ -106,13 +106,13 @@ class CharacterTable:
         """sum_c |c| chi_i(c) chi_j(c^-1) = |G| delta_ij, exactly; the
         form is symmetric in i and j, so j >= i suffices."""
         g = self.group
-        sizes = [len(c) for c in g.classes]
         inverse = [g.class_of[g.inv[c[0]]] for c in g.classes]
-        for i, ri in enumerate(self.values):
-            for j in range(i, len(self.values)):
-                rj = self.values[j]
-                val = dot(sizes, [x * rj[c] for x, c in zip(ri, inverse)],
-                          self.exponent)
+        weighted = [columns([len(c) * x for c, x in zip(g.classes, row)])
+                    for row in self.values]
+        at_inverse = [columns([row[c] for c in inverse]) for row in self.values]
+        for i, ri in enumerate(weighted):
+            for j in range(i, len(weighted)):
+                val = inner(ri, at_inverse[j], self.exponent)
                 if val != (g.order if i == j else 0):
                     raise DiagonalizationFailed(
                         f"row orthogonality fails at ({i},{j}): {complex(val)}")
@@ -313,10 +313,11 @@ class Cyclotomic:
         return hash((self.e, *[x / self.den for x in self.num]))
 
     def conjugate(self):
-        # zeta^k to zeta^(e - k)
-        num = self.num
-        coeffs = [num[0]] + [0] * (self.e - len(num)) + list(num[:0:-1])
-        return Cyclotomic(self.e, _divmod(coeffs, _cyclotomic(self.e))[1],
+        if not any(self.num[1:]):  # a rational value
+            return self
+        # zeta^k to zeta^-k, a fixed integer map of the coordinates
+        return Cyclotomic(self.e, tuple([sum(map(mul, self.num, row))
+                                         for row in _zeta_powers(self.e)[0]]),
                           self.den)
 
     def __complex__(self):
@@ -325,11 +326,11 @@ class Cyclotomic:
             return complex(num[0] / den)
         # twice the real part and 2i times the imaginary part, exactly: a
         # rational part, zero included, is one int / int quotient
-        conj, parts = self.conjugate().num, []
-        for op, trig in ((add, math.cos), (sub, math.sin)):
-            c, d = list(map(op, num, conj)), 2 * den
-            parts.append(math.fsum([x / d * trig(2 * math.pi * k / self.e)
-                                    for k, x in enumerate(c) if x])
+        _, real, cos, imag, sin = _zeta_powers(self.e)
+        d, parts = 2 * den, []
+        for rows, trig in ((real, cos), (imag, sin)):
+            c = [sum(map(mul, num, row)) for row in rows]
+            parts.append(math.fsum([x / d * t for x, t in zip(c, trig) if x])
                          if any(c[1:]) else c[0] / d)
         return complex(*parts)
 
@@ -355,6 +356,51 @@ def dot(ints, values, e, over=1):
     return Cyclotomic(e, tuple([sum(map(mul, weights, col)) for col
                                 in zip(*[v.num for v in values])]),
                       den * over)
+
+
+def columns(values):
+    """(den, cols) with values[i] = sum_k cols[k][i] zeta^k / den for
+    Cyclotomics of one field, cols listing (k, column) only at the
+    coordinates k where some value is not zero."""
+    den = math.lcm(*[v.den for v in values])
+    rows = [v.num if v.den == den else [x * (den // v.den) for x in v.num]
+            for v in values]
+    return den, [(k, col) for k, col in enumerate(zip(*rows)) if any(col)]
+
+
+def inner(xs, ys, e):
+    """sum(x * y for x, y in zip(...)) for two lists of Cyclotomics of
+    Q(zeta_e) given as columns(...): one integer dot product per pair of
+    coordinates, reduced once."""
+    (dx, xcols), (dy, ycols) = xs, ys
+    low = _cyclotomic(e)
+    poly = [0] * (2 * len(low) - 1)
+    for a, xc in xcols:
+        for b, yc in ycols:
+            poly[a + b] += sum(map(mul, xc, yc))
+    return Cyclotomic(e, _divmod(poly, low)[1], dx * dy)
+
+
+@lru_cache(maxsize=32)
+def _zeta_powers(e):
+    """(conj, real, cos, imag, sin) for Q(zeta_e), integer matrices acting
+    on coordinates and the float parts of zeta^k: conj[j][k], coordinate j
+    of zeta^-k, is complex conjugation, real = 1 + conj and imag = 1 - conj
+    give twice the real part and 2i times the imaginary part, and cos[k]
+    and sin[k] are the parts of zeta^k."""
+    low = _cyclotomic(e)
+    deg = len(low)
+    cols = [_divmod([0] * (e - k) + [1] + [0] * (k - 1), low)[1] if k else
+            (1,) + (0,) * (deg - 1) for k in range(deg)]
+    conj = tuple(zip(*cols))
+    angles = [2 * math.pi * k / e for k in range(deg)]
+    return (conj,
+            tuple(tuple(int(j == k) + c for k, c in enumerate(row))
+                  for j, row in enumerate(conj)),
+            tuple(map(math.cos, angles)),
+            tuple(tuple(int(j == k) - c for k, c in enumerate(row))
+                  for j, row in enumerate(conj)),
+            tuple(map(math.sin, angles)))
 
 
 def group_from_table(rows) -> FiniteGroup:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import lt
 
 from .errors import SizeMismatch
 
@@ -21,10 +22,10 @@ __all__ = [
 
 def as_partition(parts) -> tuple:
     """Normalize an iterable of positive ints into a canonical partition tuple."""
-    lam = tuple(int(p) for p in parts)
-    if any(p <= 0 for p in lam):
+    lam = tuple(map(int, parts))
+    if lam and min(lam) <= 0:
         raise ValueError(f"partition parts must be positive ints, got {lam!r}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(map(lt, lam, lam[1:])):
         lam = tuple(sorted(lam, reverse=True))
     return lam
 
@@ -79,13 +80,6 @@ def dim_partition(lam) -> int:
     return math.factorial(n) // hooks
 
 
-def _beta_to_partition(beta) -> tuple:
-    # beta strictly decreasing; invert lam_i = beta_i - (l - 1 - i)
-    l = len(beta)
-    lam = tuple(b - (l - 1 - i) for i, b in enumerate(beta))
-    return tuple(p for p in lam if p > 0)
-
-
 @lru_cache(maxsize=4096)
 def mn_character(lam, rho) -> int:
     """Symmetric group character chi^lam at cycle type rho.
@@ -99,24 +93,33 @@ def mn_character(lam, rho) -> int:
     rho = as_partition(rho)
     if sum(lam) != sum(rho):
         raise SizeMismatch(f"|{lam}| != |{rho}|")
-    if not lam:
-        return 1
-    r = rho[0]
-    rest = rho[1:]
     l = len(lam)
-    beta = [lam[i] + l - 1 - i for i in range(l)]
-    bset = set(beta)
+    beads = 0
+    for i, p in enumerate(lam):
+        beads |= 1 << (p + l - 1 - i)
+    return _mn_beads(beads, rho)
+
+
+@lru_cache(maxsize=8192)
+def _mn_beads(beads, rho):
+    """mn_character at the partition whose first-column hook lengths
+    (beta numbers) are the set bits of beads, bit 0 clear."""
+    if not rho:
+        return 1
+    r, rest = rho[0], rho[1:]
+    between = (1 << (r - 1)) - 1
     total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in bset:
+    free = beads >> r  # bit b: a bead at b + r
+    while free:
+        b = free.bit_length() - 1
+        free ^= 1 << b
+        if beads >> b & 1:
             continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        mu = _beta_to_partition(new_beta)
-        total += (-1) ** height * mn_character(mu, rest)
+        new = beads ^ (1 << (b + r)) ^ (1 << b)
+        # rows emptied by the strip leave beads at 0, 1, ...: drop them
+        new >>= (new ^ (new + 1)).bit_length() - 1
+        v = _mn_beads(new, rest)
+        total += -v if (beads >> (b + 1) & between).bit_count() % 2 else v
     return total
 
 

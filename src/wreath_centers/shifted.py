@@ -15,10 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, perm, prod
-from operator import le
+from operator import le, mul
 
 from .errors import SizeMismatch
-from .groups import Cyclotomic, dot
+from .groups import Cyclotomic, columns, dot
 from .partitions import dim_partition, mn_character, skew_count
 from .partitions import union as part_union
 from .universal import k_vector
@@ -123,17 +123,39 @@ class CharacterCalculator:
                 "|lam|=%d vs |delta|=%d" % (lam.size, delta.size))
         key = (lam, delta)
         hit = self._x_cache.get(key)
-        if hit is not None:
-            return hit
-        # a term contracts to zero unless its sizes are lam's
-        terms = self.conjugate_terms(delta).get(self.point_data(lam)[1], ())
-        lparts = [parts for _, parts in lam.entries]
-        total = dot([prod(map(mn_character, lparts,
-                              [parts for _, parts in entries]))
-                     for entries, _ in terms], [cc for _, cc in terms],
-                    self.chars.exponent)
-        self._x_cache[key] = total
-        return total
+        if hit is None:
+            hit = self._x_cache[key] = self.x_table([delta], [lam])[0][0]
+        return hit
+
+    def x_table(self, deltas, lams):
+        """[[x_value(lam, delta) for lam in lams] for delta in deltas],
+        without x_value's cache, for callers that keep the values
+        themselves (the character table of G wr S_n).  Each delta's terms
+        of one size are split once, into parts and coordinate columns."""
+        e = self.chars.exponent
+        zero = Cyclotomic(e).num
+        own = [(self.point_data(lam)[1], [parts for _, parts in lam.entries])
+               for lam in lams]
+        table = []
+        for delta in deltas:
+            terms, split, values = self.conjugate_terms(delta), {}, []
+            for sizes, lparts in own:
+                hit = split.get(sizes)
+                if hit is None:
+                    # a term contracts to zero unless its sizes are lam's
+                    same = terms.get(sizes, ())
+                    hit = split[sizes] = (
+                        [[parts for _, parts in entries] for entries, _ in same],
+                        *columns([cc for _, cc in same]))
+                tparts, den, cols = hit
+                ints = [prod(map(mn_character, lparts, parts))
+                        for parts in tparts]
+                num = list(zero)
+                for k, col in cols:
+                    num[k] = sum(map(mul, ints, col))
+                values.append(Cyclotomic(e, tuple(num), den))
+            table.append(values)
+        return table
 
     def dim(self, lam):
         """Degree of the irreducible indexed by lam:

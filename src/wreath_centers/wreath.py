@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import PadTooSmall, SizeMismatch
@@ -164,6 +165,7 @@ def families_of_size(n: int, num_indices: int, kind: str = "class"):
         yield PartitionFamily._of(items, kind, n)
 
 
+@lru_cache(maxsize=1024)
 def family_count(n: int, num_indices: int) -> int:
     """How many families families_of_size(n, num_indices) yields, without
     listing them: the num_indices-fold convolution of the partition

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from wreath_centers.center import product_classes
-from wreath_centers.groups import builtin_group
+from wreath_centers.groups import builtin_group, dot
 from wreath_centers.partial import (
     GPartialPermutation,
     act,
@@ -420,6 +420,7 @@ def test_criterion_08_isomorphism_pointwise():
         ncls = G.num_classes
         nchars = len(G.character_table().rows)
         calc = get_calculator(G)
+        e = calc.chars.exponent
         props = [fam for fam in families_up_to(3, ncls) if fam.is_proper()]
         points = list(families_up_to(7, nchars, kind="char"))
         cache = {}
@@ -437,10 +438,10 @@ def test_criterion_08_isomorphism_pointwise():
                 window = [fam for fam in families_up_to(d1.size + d2.size, ncls)
                           if fam.size >= max(d1.size, d2.size)]
                 kvec = [(fam, k_coeff(d1, d2, fam, G)) for fam in window]
-                kvec = [(fam, k) for fam, k in kvec if k]
+                fams, ks = zip(*[(fam, k) for fam, k in kvec if k])
                 for pt in points:
                     rhs = img(d1, pt) * img(d2, pt)
-                    lhs = sum(k * img(fam, pt) for fam, k in kvec)
+                    lhs = dot(ks, [img(fam, pt) for fam in fams], e)
                     counts["homomorphism"] += 1
                     if lhs != rhs:
                         failures.append("%s hom %r * %r at %r: %r vs %r"

@@ -20,7 +20,7 @@ def _cached_callables(mod):
 
 def test_every_functools_cache_is_bounded():
     unbounded = []
-    seen = 0
+    seen = set()
     for info in pkgutil.iter_modules(wreath_centers.__path__):
         if info.name == "__main__":
             continue  # importing it runs the command line
@@ -29,10 +29,11 @@ def test_every_functools_cache_is_bounded():
             cache_info = getattr(value, "cache_info", None)
             if cache_info is None:
                 continue
-            seen += 1
+            seen.add("%s.%s" % (info.name, name))
             if cache_info().maxsize is None:
                 unbounded.append("%s.%s" % (info.name, name))
-    assert seen, "no functools cache found; the walk is broken"
+    # the character table of G wr S_n is the largest cache
+    assert "center._wreath_characters" in seen, "the walk is broken"
     assert not unbounded, unbounded
 
 

@@ -3,13 +3,15 @@ import math
 
 import pytest
 
+from wreath_centers import center
 from wreath_centers.center import AlgebraVector, product_classes
 from wreath_centers.errors import CapExceeded, SizeMismatch
+from wreath_centers.groups import builtin_group
 from wreath_centers.wreath import (
     PartitionFamily, class_order, families_of_size,
 )
 
-from conftest import brute_expand
+from conftest import brute_expand, q8_group
 
 
 def check_group_scale(G, n):
@@ -42,6 +44,41 @@ def test_product_matches_brute_z3(z3):
 
 def test_product_matches_brute_s3(s3):
     check_group_scale(s3, 2)
+
+
+@pytest.mark.parametrize("spec,n", [("trivial", 8), ("cyclic:2", 5),
+                                    ("cyclic:3", 4), ("sym:3", 4),
+                                    ("dihedral:4", 3), ("q8", 3)])
+def test_routes_agree(spec, n):
+    """The kernel and the Frobenius sum over the characters of G wr S_n
+    give the same vector on every pair of families, complex and
+    non-abelian G included."""
+    G = q8_group() if spec == "q8" else builtin_group(spec)
+    fams = [(f, class_order(f, G)[1])
+            for f in families_of_size(n, G.num_classes)]
+    for i, (lam, size_l) in enumerate(fams):
+        for delta, size_d in fams[i:]:
+            assert (center._by_kernel(lam, delta, n, G, size_l, size_d)
+                    == center._by_characters(lam, delta, n, G)), (lam, delta)
+
+
+def test_route_choice(monkeypatch, triv, z2):
+    """(9) x (6,3) streams 20160 elements against a 30 x 30 table and goes
+    to the characters; at cyclic:2, n = 6, the largest pair of a
+    verify-poly sweep up to size 3 streams 160 elements against a 65 x 65
+    table and stays on the kernel; (6) x (6) at n = 16 streams 960960
+    elements, more than VALUE_COST times its 231 x 231 table, which is
+    above MAX_TABLE_VALUES, so it stays on the kernel too."""
+    monkeypatch.setattr(center, "_by_kernel", lambda *args: "kernel")
+    monkeypatch.setattr(center, "_by_characters", lambda *args: "characters")
+
+    def route(lam, delta, n, G):
+        return product_classes(PartitionFamily(lam).pad(n),
+                               PartitionFamily(delta).pad(n), n, G)
+
+    assert route({0: (9,)}, {0: (6, 3)}, 9, triv) == "characters"
+    assert route({0: (3,)}, {1: (3,)}, 6, z2) == "kernel"
+    assert route({0: (6,)}, {0: (6,)}, 16, triv) == "kernel"
 
 
 def test_mass_and_commutativity(z2, z3):
