@@ -11,14 +11,11 @@ from .center import AlgebraVector, product_classes
 from .groups import FiniteGroup, builtin_group, group_from_json, group_from_table, resolve_group
 from .kernels import BACKEND, available_backends
 from .partial import (
-    GPartialPermutation, act, class_size_partial, enumerate_partial_class,
-    pp_multiply, pp_type, pp_unity, proj, psi, semigroup_order)
-from .shifted import (
-    CharacterCalculator, image_eval, p_sharp_eval, s_sharp_eval,
-    verify_theorem71)
+    GPartialPermutation, class_size_partial, enumerate_partial_class,
+    semigroup_order)
+from .shifted import CharacterCalculator, image_eval, verify_theorem71
 from .universal import (
-    PolynomialInN, k_coeff, k_coeff_oracle, structure_polynomial,
-    verify_polynomiality)
+    PolynomialInN, k_coeff, structure_polynomial, verify_polynomiality)
 from .wreath import (
     PartitionFamily, WreathElement, class_order, enumerate_class,
     families_of_size, families_up_to, type_of, w_inverse, w_multiply)
@@ -28,13 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraVector", "BACKEND", "CharacterCalculator", "FiniteGroup",
     "GPartialPermutation", "PartitionFamily", "PolynomialInN",
-    "WreathElement", "__version__", "act", "available_backends",
+    "WreathElement", "__version__", "available_backends",
     "builtin_group", "class_order",
     "class_size_partial", "enumerate_class", "enumerate_partial_class",
     "families_of_size", "families_up_to", "group_from_json",
-    "group_from_table", "image_eval", "k_coeff", "k_coeff_oracle",
-    "p_sharp_eval", "pp_multiply", "pp_type", "pp_unity", "product_classes",
-    "proj", "psi", "resolve_group", "s_sharp_eval", "semigroup_order",
+    "group_from_table", "image_eval", "k_coeff", "product_classes",
+    "resolve_group", "semigroup_order",
     "structure_polynomial", "type_of", "verify_polynomiality",
     "verify_theorem71", "w_inverse", "w_multiply",
 ]

@@ -94,19 +94,24 @@ def product_classes(lam, delta, n, G, cap=DEFAULT_CLASS_CAP):
     characters run when |Irr|^2 <= MAX_TABLE_VALUES and
     |Irr|^2 * VALUE_COST < the streamed size, the kernel otherwise; the
     rule charges every call the whole build and reads no cache.  The
-    cap applies to both routes alike.
+    cap weighs the route chosen: |Irr|^2 * VALUE_COST for the
+    characters, the streamed size for the kernel.
     """
     _check_sizes(n, lam, delta)
     size_l = class_order(lam, G)[1]
     size_d = class_order(delta, G)[1]
     streamed = min(size_l, size_d)
+    values = family_count(n, G.num_classes) ** 2
+    if values <= MAX_TABLE_VALUES and values * VALUE_COST < streamed:
+        if values * VALUE_COST > cap:
+            raise CapExceeded(
+                "the character table of G wr S_%d has %d values, weight "
+                "%d, cap is %d" % (n, values, values * VALUE_COST, cap))
+        return _by_characters(lam, delta, n, G)
     if streamed > cap:
         raise CapExceeded(
             "smallest streamable class has %d elements, cap is %d"
             % (streamed, cap))
-    values = family_count(n, G.num_classes) ** 2
-    if values <= MAX_TABLE_VALUES and values * VALUE_COST < streamed:
-        return _by_characters(lam, delta, n, G)
     return _by_kernel(lam, delta, n, G, size_l, size_d)
 
 

@@ -662,8 +662,8 @@ def cmd_enumerate_partial(G, args):
 _EXIT_CODES = (
     (UsageError, 2),
     (err.NotProper, 3),
-    ((err.SizeMismatch, err.PadTooSmall, err.SupportExceedsN), 4),
-    ((err.CapExceeded, err.GuardrailExceeded), 5),
+    ((err.SizeMismatch, err.PadTooSmall), 4),
+    (err.CapExceeded, 5),
     (err.WreathCentersError, 6),
 )
 

@@ -34,20 +34,12 @@ class SizeMismatch(WreathCentersError):
     """Operands do not have the common size the operation requires."""
 
 
-class SupportExceedsN(WreathCentersError):
-    """Partial permutation support does not fit inside the ambient [n]."""
-
-
 class NotProper(WreathCentersError):
     """Family has parts equal to 1 at the identity class where forbidden."""
 
 
 class CapExceeded(WreathCentersError):
     """A streamed class or enumeration exceeds the configured cap."""
-
-
-class GuardrailExceeded(WreathCentersError):
-    """Brute-force oracle invoked beyond its hard size guardrail."""
 
 
 class Overflow(WreathCentersError):

@@ -417,7 +417,9 @@ def group_from_table(rows) -> FiniteGroup:
         raise UnsupportedSpec(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
     table = []
     for i, row in enumerate(rows):
-        row = [int(v) for v in row]
+        if not isinstance(row, (list, tuple)) or not all(type(v) is int for v in row):
+            raise NotBijectiveRow(f"row {i} is not a list of integers: {row}")
+        row = list(row)
         if len(row) != n:
             raise NotBijectiveRow(f"row {i} has length {len(row)}, expected {n}")
         if any(v < 0 or v >= n for v in row):
@@ -502,15 +504,19 @@ def _cached_builtin_group(spec: str) -> FiniteGroup:
 def group_from_json(obj) -> FiniteGroup:
     """Build a group from the file format {"order", "table", ["characters"]};
     a "characters" matrix must equal the computed table up to row order."""
-    if not isinstance(obj, dict) or "table" not in obj:
-        raise UnsupportedSpec("group JSON must be an object with a 'table' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("table"), list):
+        raise UnsupportedSpec("group JSON must be an object with a 'table' list")
     table = obj["table"]
-    if "order" in obj and int(obj["order"]) != len(table):
-        raise UnsupportedSpec(f"declared order {obj['order']} != table size {len(table)}")
+    order = obj.get("order", len(table))
+    if type(order) is not int or order != len(table):
+        raise UnsupportedSpec(f"declared order {order!r} is not the table size {len(table)}")
     G = group_from_table(table)
     if "characters" in obj:
-        given = sorted(([complex(re_im[0], re_im[1]) for re_im in row]
-                        for row in obj["characters"]), key=_row_sort_key)
+        try:
+            given = sorted(([complex(a, b) for a, b in row]
+                            for row in obj["characters"]), key=_row_sort_key)
+        except (TypeError, ValueError):
+            raise UnsupportedSpec("each entry of 'characters' must be an [re, im] pair")
         rows = G.character_table().rows
         if [len(r) for r in given] != [len(r) for r in rows] or any(
                 abs(a - b) > _ORTHO_TOL for r1, r2 in zip(given, rows)

@@ -1,9 +1,9 @@
 """Exact integer-partition combinatorics used by every other module.
 
 Partitions are plain tuples of weakly decreasing positive ints; () is the
-empty partition. Character values, dimensions and skew tableau counts are
-exact Python ints. Permutations are one-line tuples with 0-based images
-(perm[i] = image of i), the package-internal convention.
+empty partition. Character values and dimensions are exact Python ints.
+Permutations are one-line tuples with 0-based images (perm[i] = image of
+i), the package-internal convention.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import SizeMismatch
 
 __all__ = [
     "as_partition", "z_of", "union", "partitions_of", "conjugate",
-    "dim_partition", "mn_character", "skew_count", "contains",
+    "dim_partition", "mn_character",
 ]
 
 
@@ -120,37 +120,4 @@ def _mn_beads(beads, rho):
         new >>= (new ^ (new + 1)).bit_length() - 1
         v = _mn_beads(new, rest)
         total += -v if (beads >> (b + 1) & between).bit_count() % 2 else v
-    return total
-
-
-def contains(rho, lam) -> bool:
-    """Whether the diagram of rho sits inside the diagram of lam."""
-    rho = tuple(rho)
-    lam = tuple(lam)
-    if len(rho) > len(lam):
-        return False
-    return all(rho[i] <= lam[i] for i in range(len(rho)))
-
-
-@lru_cache(maxsize=4096)
-def skew_count(lam, rho) -> int:
-    """Number of standard Young tableaux of skew shape lam/rho.
-
-    Corner-removal recursion on the outer shape; 0 whenever rho is not
-    contained in lam.
-    """
-    lam = as_partition(lam)
-    rho = as_partition(rho)
-    if not contains(rho, lam):
-        return 0
-    if sum(lam) == sum(rho):
-        return 1
-    total = 0
-    for i in range(len(lam)):
-        if i + 1 < len(lam) and lam[i] == lam[i + 1]:
-            continue  # not a removable corner
-        shorter = lam[:i] + (lam[i] - 1,) + lam[i + 1:]
-        shorter = tuple(p for p in shorter if p > 0)
-        if contains(rho, shorter):
-            total += skew_count(shorter, rho)
     return total

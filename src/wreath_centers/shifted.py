@@ -11,7 +11,6 @@ is ever materialized as a polynomial.
 """
 
 from collections import OrderedDict
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, perm, prod
@@ -19,15 +18,13 @@ from operator import le, mul
 
 from .errors import SizeMismatch
 from .groups import Cyclotomic, columns, dot
-from .partitions import dim_partition, mn_character, skew_count
+from .partitions import dim_partition, mn_character
 from .partitions import union as part_union
 from .universal import k_vector
 from .wreath import class_order, families_up_to, family_count
 
 __all__ = [
     "CharacterCalculator",
-    "p_sharp_eval",
-    "s_sharp_eval",
     "image_eval",
     "verify_theorem71",
 ]
@@ -186,22 +183,6 @@ def _p_sharp_scaled(delta, lam):
         return 0, dim_partition(lam)
     padded = tuple(sorted(delta + (1,) * (ntop - nlow), reverse=True))
     return perm(ntop, nlow) * mn_character(lam, padded), dim_partition(lam)
-
-
-def p_sharp_eval(delta, lam):
-    """p#_delta(lam) = (|lam| falling |delta|) / dim lam * chi^lam at
-    delta padded with 1-parts; 0 when |lam| < |delta|.  Exact."""
-    return Fraction(*_p_sharp_scaled(delta, lam))
-
-
-@lru_cache(maxsize=4096)
-def s_sharp_eval(rho, lam):
-    """s#_rho(lam) = (|lam| falling |rho|) / dim lam * f^{lam/rho};
-    0 unless rho fits inside lam.  Exact."""
-    cnt = skew_count(lam, rho)
-    if not cnt:
-        return Fraction(0)
-    return Fraction(perm(sum(lam), sum(rho)) * cnt, dim_partition(lam))
 
 
 def image_eval(delta, point, G, calc=None, order=None):

@@ -23,28 +23,21 @@ from math import comb, factorial
 from types import MappingProxyType
 
 from .center import DEFAULT_CLASS_CAP, divide_histogram, product_classes
-from .errors import GuardrailExceeded, NotProper
+from .errors import NotProper
 from .kernels import partial_type_histogram
-from .partial import (
-    canonical_partial_representative, class_size_partial, enumerate_partial_class,
-    pp_multiply)
+from .partial import class_size_partial
 from .wreath import class_order, family_order
 
 __all__ = [
     "k_stream_size",
     "k_vector",
     "k_coeff",
-    "k_coeff_oracle",
-    "expand_product_semigroup",
     "PolynomialInN",
     "structure_polynomial",
     "structure_polynomials",
     "polynomiality_checks",
     "verify_polynomiality",
 ]
-
-ORACLE_MAX_TOTAL_SIZE = 5
-ORACLE_MAX_GROUP_ORDER = 3
 
 
 def k_stream_size(streamed, fixed, G):
@@ -85,39 +78,6 @@ def k_vector(lam, delta, G):
 def k_coeff(lam, delta, gamma, G):
     """Universal coefficient k_{lam delta}^gamma (n-independent)."""
     return k_vector(lam, delta, G).get(gamma, 0)
-
-
-def expand_product_semigroup(lam, delta, n, G):
-    """Brute-force product of the two class sums inside P^G_n: a dict
-    {partial permutation: coefficient} over all |C_lam| * |C_delta| pairs."""
-    if lam.size + delta.size > ORACLE_MAX_TOTAL_SIZE:
-        raise GuardrailExceeded(
-            "|lam|+|delta|=%d exceeds oracle guardrail %d"
-            % (lam.size + delta.size, ORACLE_MAX_TOTAL_SIZE))
-    if G.order > ORACLE_MAX_GROUP_ORDER:
-        raise GuardrailExceeded(
-            "|G|=%d exceeds oracle guardrail %d" % (G.order, ORACLE_MAX_GROUP_ORDER))
-    ys = list(enumerate_partial_class(delta, n, G))
-    acc = {}
-    for x in enumerate_partial_class(lam, n, G):
-        for y in ys:
-            p = pp_multiply(x, y, G)
-            acc[p] = acc.get(p, 0) + 1
-    return acc
-
-
-def k_coeff_oracle(lam, delta, gamma, G, n=None):
-    """Independent brute-force value of k_{lam delta}^gamma: expand the
-    full product in P^G_n and read the coefficient of the canonical
-    element of C_{gamma;n}.  Any n >= |lam|+|delta| gives the same
-    answer; that stability is itself a testable claim."""
-    if n is None:
-        n = lam.size + delta.size
-    acc = expand_product_semigroup(lam, delta, n, G)
-    if gamma.size > n:
-        return 0
-    z = canonical_partial_representative(gamma, G)
-    return acc.get(z, 0)
 
 
 class PolynomialInN:

@@ -12,33 +12,36 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from oracles import (
+    act,
+    elements,
+    expand_product_semigroup,
+    k_coeff_oracle,
+    p_sharp_eval,
+    pp_multiply,
+    pp_type,
+    s_sharp_eval,
+    skew_count,
+)
 from wreath_centers.center import product_classes
 from wreath_centers.groups import builtin_group, dot
 from wreath_centers.partial import (
     GPartialPermutation,
-    act,
     class_size_partial,
-    pp_multiply,
-    pp_type,
     semigroup_order,
 )
 from wreath_centers.partitions import (
     mn_character,
     partitions_of,
-    skew_count,
     z_of,
 )
 from wreath_centers.shifted import (
     get_calculator,
     image_eval,
-    p_sharp_eval,
-    s_sharp_eval,
     verify_theorem71,
 )
 from wreath_centers.universal import (
-    expand_product_semigroup,
     k_coeff,
-    k_coeff_oracle,
     structure_polynomial,
 )
 from wreath_centers.wreath import (
@@ -142,10 +145,7 @@ def test_criterion_02_counting_formulas():
         ncls = G.num_classes
         for n in range(1, 5):
             total = G.order ** n * factorial(n)
-            buckets = Counter()
-            for labels in product(range(G.order), repeat=n):
-                for p in permutations(range(n)):
-                    buckets[type_of(WreathElement(labels, p), G)] += 1
+            buckets = Counter(type_of(x, G) for x in elements(G, n))
             if sum(buckets.values()) != total:
                 failures.append("%s n=%d: enumeration incomplete" % (gname, n))
             for fam in families_of_size(n, ncls):

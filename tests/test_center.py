@@ -1,5 +1,6 @@
 """Center of the wreath group algebra: structure constants."""
 import math
+import random
 
 import pytest
 
@@ -8,10 +9,11 @@ from wreath_centers.center import AlgebraVector, product_classes
 from wreath_centers.errors import CapExceeded, SizeMismatch
 from wreath_centers.groups import builtin_group
 from wreath_centers.wreath import (
-    PartitionFamily, class_order, families_of_size,
+    PartitionFamily, class_order, families_of_size, family_count,
 )
 
 from conftest import brute_expand, q8_group
+from oracles import certify
 
 
 def check_group_scale(G, n):
@@ -79,6 +81,52 @@ def test_route_choice(monkeypatch, triv, z2):
     assert route({0: (9,)}, {0: (6, 3)}, 9, triv) == "characters"
     assert route({0: (3,)}, {1: (3,)}, 6, z2) == "kernel"
     assert route({0: (6,)}, {0: (6,)}, 16, triv) == "kernel"
+
+
+def assert_certified(lam, delta, n, G):
+    """The kernel's C_lam C_delta passes the certificate, and fails it
+    with one coefficient moved by +1, and with a count moved between two
+    classes so that the mass stays the same."""
+    size_l, size_d = class_order(lam, G)[1], class_order(delta, G)[1]
+    vec = center._by_kernel(lam, delta, n, G, size_l, size_d)
+    assert certify(vec, lam, delta, n, G), (lam, delta)
+    (g1, c1), *rest = vec.items()
+    plus_one = AlgebraVector(n, {**vec.terms, g1: c1 + 1})
+    assert not certify(plus_one, lam, delta, n, G), (lam, delta)
+    if rest:
+        g2, c2 = rest[0]
+        s1, s2 = class_order(g1, G)[1], class_order(g2, G)[1]
+        g = math.gcd(s1, s2)
+        moved = AlgebraVector(n, {**vec.terms, g1: c1 - s2 // g,
+                                  g2: c2 + s1 // g})
+        assert moved.mass(G) == vec.mass(G)
+        assert not certify(moved, lam, delta, n, G), (lam, delta)
+
+
+@pytest.mark.parametrize("spec,n", [("sym:3", 3), ("dihedral:4", 3),
+                                    ("cyclic:3", 3), ("q8", 2)])
+def test_certificate_every_pair(spec, n):
+    """Every kernel expansion at small (G, n) against the central
+    characters of G wr S_n, exactly."""
+    G = q8_group() if spec == "q8" else builtin_group(spec)
+    fams = list(families_of_size(n, G.num_classes))
+    for i, lam in enumerate(fams):
+        for delta in fams[i:]:
+            assert_certified(lam, delta, n, G)
+
+
+@pytest.mark.parametrize("spec,n", [("cyclic:2", 9), ("trivial", 17)])
+def test_certificate_beyond_the_table_bound(spec, n):
+    """Three seeded pairs each where |Irr|^2 is above MAX_TABLE_VALUES,
+    so the kernel is the only route; one factor's class has at most
+    10^4 elements."""
+    G = builtin_group(spec)
+    assert family_count(n, G.num_classes) ** 2 > center.MAX_TABLE_VALUES
+    fams = list(families_of_size(n, G.num_classes))
+    small = [f for f in fams if class_order(f, G)[1] <= 10 ** 4]
+    rng = random.Random(23)
+    for _ in range(3):
+        assert_certified(rng.choice(small), rng.choice(fams), n, G)
 
 
 def test_mass_and_commutativity(z2, z3):

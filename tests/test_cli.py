@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wreath_centers import cli, errors, universal
+from wreath_centers import center, cli, errors, universal
 from wreath_centers.center import product_classes
 from wreath_centers.cli import main
 from wreath_centers.groups import builtin_group
@@ -289,6 +289,24 @@ def test_exit_cap_exceeded(capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_cap_weighs_the_route_that_runs(monkeypatch, capsys):
+    """trivial (13) x (7,6) streams 148,262,400 elements, above the
+    default cap, but goes to the characters, a 101 x 101 table weighing
+    10,201 * VALUE_COST = 81,608: it runs under the default cap, and a
+    cap of 50,000 refuses it before any table is built."""
+    argv = ["--group", "trivial", "ccoeff", "--n", "13",
+            "--lam", '{"0": [13]}', "--del", '{"0": [7, 6]}']
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["mass"]["ok"] is True
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(center, "_wreath_characters", refuse)
+    assert main(["--cap-class-size", "50000", *argv]) == 5
+    assert "81608" in capsys.readouterr().err
+
+
 def test_listing_cap_checked_before_listing():
     # classes lists every family of size n: 1,165 at n = 12 on Z_2
     r = run("--group", "cyclic:2", "--cap-class-size", "1000",
@@ -337,7 +355,7 @@ def test_error_raised_while_rows_stream(monkeypatch, capsys):
 
     def failing(*args, **kw):
         yield from itertools.islice(real(*args, **kw), 2 * cli._CHUNK + 5)
-        raise errors.GuardrailExceeded("stopped mid-sweep")
+        raise errors.CapExceeded("stopped mid-sweep")
 
     monkeypatch.setattr(cli, "verify_theorem71", failing)
     assert main(["--group", "cyclic:2", "verify-iso", "--size-cap", "2",
@@ -448,6 +466,26 @@ def test_group_file_and_malformed(tmp_path):
     assert run("--group", str(bad), "group-info").returncode == 2
     assert run("--group", str(tmp_path / "missing.json"),
                "group-info").returncode == 2
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"order": 2, "table": [[0, 1], [1.9, 0]]}, "not a list of integers"),
+    ({"order": 2, "table": [[0, 1], [True, 0]]}, "not a list of integers"),
+    ({"order": 2, "table": [[0, 1], ["1", 0]]}, "not a list of integers"),
+    ({"table": [1, 2]}, "not a list of integers"),
+    ({"table": 2}, "'table' list"),
+    ({"order": 2.7, "table": [[0, 1], [1, 0]]}, "declared order 2.7"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "characters": [[1, 1], [1, -1]]},
+     "[re, im] pair"),
+])
+def test_group_file_entries_must_be_integers(tmp_path, capsys, obj, message):
+    """A table entry or order that is not an int, bools included, a row
+    or table that is not a list, and a character value that is not an
+    [re, im] pair are usage errors."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    assert main(["--group", str(path), "group-info"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_env_config_and_override(tmp_path):

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from oracles import (
+    act, canonical_partial_representative, pp_multiply, pp_type, pp_unity,
+    proj, psi)
 from wreath_centers.partial import (
-    GPartialPermutation, act, canonical_partial_representative,
-    class_size_partial, enumerate_partial_class, pp_multiply, pp_type,
-    pp_unity, proj, psi, semigroup_order,
+    GPartialPermutation, class_size_partial, enumerate_partial_class,
+    semigroup_order,
 )
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, families_up_to, type_of, w_inverse,

@@ -3,9 +3,10 @@ from math import factorial
 
 import pytest
 
+from oracles import contains, skew_count
 from wreath_centers.partitions import (
-    as_partition, conjugate, contains, dim_partition, mn_character,
-    partitions_of, skew_count, union, z_of)
+    as_partition, conjugate, dim_partition, mn_character, partitions_of,
+    union, z_of)
 
 
 def test_as_partition_sorts_and_validates():

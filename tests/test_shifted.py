@@ -1,5 +1,4 @@
 """Shifted-symmetric layer: characters, sharp functions, the iso checks."""
-import itertools
 import json
 import math
 from collections import Counter
@@ -8,25 +7,23 @@ from fractions import Fraction
 import pytest
 
 from conftest import class_map, q8_group
+from oracles import elements, p_sharp_eval, s_sharp_eval
 from wreath_centers.errors import SizeMismatch
 from wreath_centers.groups import Cyclotomic, FiniteGroup, builtin_group
 from wreath_centers.partitions import mn_character, partitions_of
 from wreath_centers import shifted
 from wreath_centers.shifted import (
-    CharacterCalculator, get_calculator, image_eval, p_sharp_eval,
-    s_sharp_eval, verify_theorem71,
+    CharacterCalculator, get_calculator, image_eval, verify_theorem71,
 )
 from wreath_centers.wreath import (
-    PartitionFamily, WreathElement, class_order, families_of_size,
+    PartitionFamily, class_order, families_of_size,
     families_up_to, type_of, w_multiply,
 )
 
 
 def wreath_group(G, n):
     """Explicit multiplication table of G wr S_n, as an oracle."""
-    elems = [WreathElement(labels, p)
-             for p in itertools.permutations(range(n))
-             for labels in itertools.product(range(G.order), repeat=n)]
+    elems = list(elements(G, n))
     idx = {w: i for i, w in enumerate(elems)}
     mul = [[idx[w_multiply(a, b, G)] for b in elems] for a in elems]
     return FiniteGroup(mul), elems

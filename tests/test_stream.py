@@ -1,17 +1,17 @@
 """The class stream against an oracle that shares none of its code.
 
-The oracle lists all of G wr S_n with itertools.product over labels and
-itertools.permutations over positions, then buckets the elements by
-type_of.  The stream order is pinned by digests of small listings, so a
-reordering fails here even when every class is still right.
+The oracle, oracles.buckets, lists all of G wr S_n with itertools.product
+over labels and itertools.permutations over positions, then buckets the
+elements by type_of.  The stream order is pinned by digests of small
+listings, so a reordering fails here even when every class is still right.
 """
 import hashlib
-import itertools
 import json
 import random
 
 import pytest
 
+from oracles import buckets
 from wreath_centers.groups import builtin_group
 from wreath_centers.kernels import encode_type_key, type_histogram
 from wreath_centers.partial import enumerate_partial_class
@@ -22,16 +22,6 @@ from wreath_centers.wreath import (
 
 ORACLE_CASES = [("trivial", 4), ("cyclic:2", 3), ("cyclic:3", 3),
                 ("sym:3", 3), ("dihedral:4", 2)]
-
-
-def buckets(G, n):
-    """{type: set of elements} over the whole of G wr S_n."""
-    out = {}
-    for labels in itertools.product(range(G.order), repeat=n):
-        for perm in itertools.permutations(range(n)):
-            x = WreathElement(labels, perm)
-            out.setdefault(type_of(x, G), set()).add(x)
-    return out
 
 
 @pytest.fixture(scope="module", params=ORACLE_CASES,

@@ -7,13 +7,14 @@ from math import comb
 import pytest
 
 from conftest import class_map, q8_group
-from wreath_centers.errors import GuardrailExceeded, NotProper
+from oracles import (
+    GuardrailExceeded, canonical_partial_representative, k_coeff_oracle,
+    pp_multiply, pp_type)
+from wreath_centers.errors import NotProper
 from wreath_centers.groups import builtin_group
-from wreath_centers.partial import (
-    canonical_partial_representative, class_size_partial,
-    enumerate_partial_class, pp_multiply, pp_type)
+from wreath_centers.partial import class_size_partial, enumerate_partial_class
 from wreath_centers.universal import (
-    PolynomialInN, k_coeff, k_coeff_oracle, k_stream_size, k_vector,
+    PolynomialInN, k_coeff, k_stream_size, k_vector,
     structure_polynomial, structure_polynomials, verify_polynomiality,
 )
 from wreath_centers.wreath import PartitionFamily, families_up_to, family_order

@@ -1,25 +1,19 @@
 """Wreath product elements, conjugacy types, class enumeration."""
-import itertools
 import math
 import random
 
 import pytest
 
+from oracles import buckets, elements, pp_type
 from wreath_centers.errors import PadTooSmall, SizeMismatch
 from wreath_centers.groups import builtin_group
 from wreath_centers.kernels import decode_type_key, encode_type_key
-from wreath_centers.partial import GPartialPermutation, pp_type
+from wreath_centers.partial import GPartialPermutation
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, canonical_representative, class_order,
     enumerate_class, families_of_size, families_up_to,
     family_count, family_order, type_of, w_inverse, w_multiply,
 )
-
-
-def all_elements(n, G):
-    for labels in itertools.product(range(G.order), repeat=n):
-        for perm in itertools.permutations(range(n)):
-            yield WreathElement(labels, perm)
 
 
 def test_composition_order(z3):
@@ -68,7 +62,7 @@ def test_type_worked_example(z3):
 def test_type_is_conjugation_invariant(s3):
     rng = random.Random(3)
     n = 3
-    elts = list(all_elements(n, s3))
+    elts = list(elements(s3, n))
     for _ in range(25):
         x = rng.choice(elts)
         h = rng.choice(elts)
@@ -85,15 +79,12 @@ def test_types_classify_conjugacy_nonabelian():
     """
     from wreath_centers.groups import builtin_group
     s3 = builtin_group("sym:3")
-    elts = list(all_elements(3, s3))
-    buckets = {}
-    for x in elts:
-        buckets.setdefault(type_of(x, s3), []).append(x)
+    elts = list(elements(s3, 3))
     covered = 0
-    for fam, bucket in buckets.items():
+    for fam, bucket in buckets(s3, 3).items():
         z, size = class_order(fam, s3)
         assert len(bucket) == size
-        rep = bucket[0]
+        rep = next(iter(bucket))
         orbit = {w_multiply(w_multiply(h, rep, s3), w_inverse(h, s3), s3)
                  for h in elts}
         # invariance makes each bucket a union of orbits; matching sizes
