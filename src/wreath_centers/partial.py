@@ -83,17 +83,6 @@ class GPartialPermutation:
             "labels": {str(i): self.labels[i] for i in self.support},
         }
 
-    @classmethod
-    def from_json(cls, data):
-        support = [int(i) for i in data.get("support", ())]
-        omega = {int(k): int(v) for k, v in data.get("omega", {}).items()}
-        labels = {int(k): int(v) for k, v in data.get("labels", {}).items()}
-        # omitted entries default to fixed points / identity labels
-        for i in support:
-            omega.setdefault(i, i)
-            labels.setdefault(i, 0)
-        return cls(support, omega, labels)
-
 
 def class_size_partial(lam, n, G):
     """|C_{Lambda;n}|: number of partial permutations of [n] with type

@@ -16,7 +16,7 @@ from .errors import SizeMismatch
 
 __all__ = [
     "as_partition", "z_of", "union", "partitions_of", "conjugate",
-    "dim_partition", "mn_character",
+    "dim_partition", "mn_character", "mn_column",
 ]
 
 
@@ -80,44 +80,54 @@ def dim_partition(lam) -> int:
     return math.factorial(n) // hooks
 
 
-@lru_cache(maxsize=4096)
 def mn_character(lam, rho) -> int:
-    """Symmetric group character chi^lam at cycle type rho.
-
-    Border strips are removed through the beta-number form of the
-    Murnaghan-Nakayama rule: subtracting rho_1 from a first-column hook
-    length must keep all hook lengths distinct, and the strip height is
-    the number of hook lengths jumped over.
-    """
+    """Symmetric group character chi^lam at cycle type rho, read from
+    the column of rho."""
     lam = as_partition(lam)
     rho = as_partition(rho)
     if sum(lam) != sum(rho):
         raise SizeMismatch(f"|{lam}| != |{rho}|")
-    l = len(lam)
-    beads = 0
-    for i, p in enumerate(lam):
-        beads |= 1 << (p + l - 1 - i)
-    return _mn_beads(beads, rho)
+    return mn_column(rho)[lam]
 
 
-@lru_cache(maxsize=8192)
-def _mn_beads(beads, rho):
-    """mn_character at the partition whose first-column hook lengths
-    (beta numbers) are the set bits of beads, bit 0 clear."""
-    if not rho:
-        return 1
-    r, rest = rho[0], rho[1:]
-    between = (1 << (r - 1)) - 1
-    total = 0
-    free = beads >> r  # bit b: a bead at b + r
-    while free:
-        b = free.bit_length() - 1
-        free ^= 1 << b
-        if beads >> b & 1:
-            continue
-        new = beads ^ (1 << (b + r)) ^ (1 << b)
-        # rows emptied by the strip leave beads at 0, 1, ...: drop them
-        new >>= (new ^ (new + 1)).bit_length() - 1
-        v = _mn_beads(new, rest)
-        total += -v if (beads >> (b + 1) & between).bit_count() % 2 else v
-    return total
+@lru_cache(maxsize=1024)
+def mn_column(rho) -> dict:
+    """{lam: chi^lam(rho)} over every partition lam of |rho|, for rho a
+    partition tuple.
+
+    The Murnaghan-Nakayama rule run forwards: starting from the empty
+    partition, border strips of the parts of rho, smallest first, are
+    added to every shape reached so far.  Shapes are beta-number sets of
+    n = |rho| beads, the set bits of an int; a strip of length r moves a
+    bead from b to an empty b + r, with sign -1 per bead it jumps over.
+    """
+    n = sum(rho)
+    states = {(1 << n) - 1: 1}
+    for r in reversed(rho):
+        between = (1 << (r - 1)) - 1
+        nxt = {}
+        for beads, v in states.items():
+            free = beads & ~(beads >> r)  # bit b: a bead at b, none at b + r
+            while free:
+                low = free & -free
+                free ^= low
+                new = beads ^ low ^ (low << r)
+                if (beads >> low.bit_length() & between).bit_count() & 1:
+                    nxt[new] = nxt.get(new, 0) - v
+                else:
+                    nxt[new] = nxt.get(new, 0) + v
+        states = nxt
+    return {lam: states.get(beads, 0) for beads, lam in _bead_sets(n)}
+
+
+@lru_cache(maxsize=64)
+def _bead_sets(n):
+    """(beads, lam) over the partitions lam of n, beads the set of the n
+    beta numbers lam_i + n - 1 - i (lam padded with zeros)."""
+    out = []
+    for lam in partitions_of(n):
+        beads = (1 << (n - len(lam))) - 1
+        for i, p in enumerate(lam):
+            beads |= 1 << (p + n - 1 - i)
+        out.append((beads, lam))
+    return tuple(out)

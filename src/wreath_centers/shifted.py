@@ -10,15 +10,15 @@ evaluations use the falling-factorial formulas.  No symmetric function
 is ever materialized as a polynomial.
 """
 
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, perm, prod
-from operator import le, mul
+from operator import getitem, le, mul
 
+from .center import BoundedCache
 from .errors import SizeMismatch
 from .groups import Cyclotomic, columns, dot
-from .partitions import dim_partition, mn_character
+from .partitions import dim_partition, mn_character, mn_column
 from .partitions import union as part_union
 from .universal import k_vector
 from .wreath import class_order, families_up_to, family_count
@@ -28,20 +28,6 @@ __all__ = [
     "image_eval",
     "verify_theorem71",
 ]
-
-
-class BoundedCache(OrderedDict):
-    """A dict that forgets its oldest entry, in O(1), once it holds
-    maxsize."""
-
-    def __init__(self, maxsize):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def __setitem__(self, key, value):
-        if key not in self and len(self) >= self.maxsize:
-            self.popitem(last=False)
-        super().__setitem__(key, value)
 
 
 class CharacterCalculator:
@@ -128,7 +114,8 @@ class CharacterCalculator:
         """[[x_value(lam, delta) for lam in lams] for delta in deltas],
         without x_value's cache, for callers that keep the values
         themselves (the character table of G wr S_n).  Each delta's terms
-        of one size are split once, into parts and coordinate columns."""
+        of one size are split once, into the Murnaghan-Nakayama columns
+        of their parts and coordinate columns."""
         e = self.chars.exponent
         zero = Cyclotomic(e).num
         own = [(self.point_data(lam)[1], [parts for _, parts in lam.entries])
@@ -142,11 +129,11 @@ class CharacterCalculator:
                     # a term contracts to zero unless its sizes are lam's
                     same = terms.get(sizes, ())
                     hit = split[sizes] = (
-                        [[parts for _, parts in entries] for entries, _ in same],
+                        [[mn_column(parts) for _, parts in entries]
+                         for entries, _ in same],
                         *columns([cc for _, cc in same]))
-                tparts, den, cols = hit
-                ints = [prod(map(mn_character, lparts, parts))
-                        for parts in tparts]
+                tcols, den, cols = hit
+                ints = [prod(map(getitem, mn, lparts)) for mn in tcols]
                 num = list(zero)
                 for k, col in cols:
                     num[k] = sum(map(mul, ints, col))

@@ -76,10 +76,6 @@ class PartitionFamily:
         self.size = size
         self._hash = hash((kind, entries))
 
-    @property
-    def num_cycles(self) -> int:
-        return sum(len(lam) for _, lam in self.entries)
-
     def get(self, idx: int) -> tuple:
         for i, lam in self.entries:
             if i == idx:

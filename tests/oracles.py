@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against and
-the package itself never calls: the listing of G wr S_n, the certificate
-of a center expansion, the partial-permutation semigroup, the brute-force
-k coefficient, and p#, s# and skew tableau counts on one alphabet."""
+the package itself never calls: the listing of G wr S_n, the cycle count
+of a family, the certificate of a center expansion, the partial-permutation
+semigroup and its JSON reader, the brute-force k coefficient, and p#, s#
+and skew tableau counts on one alphabet."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +44,11 @@ def buckets(G, n):
     return out
 
 
+def num_cycles(fam):
+    """The number of cycles of a family: its parts over every index."""
+    return sum(len(lam) for _, lam in fam.entries)
+
+
 @lru_cache(maxsize=8)
 def _characters(G, n):
     """(calculator, irreducibles of G wr S_n, their degrees, and a dict
@@ -75,6 +81,19 @@ def certify(vec, lam, delta, n, G):
 def pp_unity():
     """The unity: empty support."""
     return GPartialPermutation((), {}, {})
+
+
+def partial_from_json(data):
+    """The GPartialPermutation that to_json() wrote as data; omitted
+    omega and labels entries default to fixed points and identity
+    labels."""
+    support = [int(i) for i in data.get("support", ())]
+    omega = {int(k): int(v) for k, v in data.get("omega", {}).items()}
+    labels = {int(k): int(v) for k, v in data.get("labels", {}).items()}
+    for i in support:
+        omega.setdefault(i, i)
+        labels.setdefault(i, 0)
+    return GPartialPermutation(support, omega, labels)
 
 
 def pp_multiply(x, y, G):

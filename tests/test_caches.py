@@ -1,11 +1,12 @@
-"""Every cache in the package has a bound: functools caches and the
-instance dicts of CharacterCalculator."""
+"""Every cache in the package has a bound: functools caches, module-level
+BoundedCache stores and the instance dicts of CharacterCalculator."""
 import importlib
 import inspect
 import pkgutil
 
 import wreath_centers
-from wreath_centers.shifted import BoundedCache, CharacterCalculator
+from wreath_centers.center import BoundedCache
+from wreath_centers.shifted import CharacterCalculator
 from wreath_centers.wreath import families_of_size
 
 
@@ -32,8 +33,13 @@ def test_every_functools_cache_is_bounded():
             seen.add("%s.%s" % (info.name, name))
             if cache_info().maxsize is None:
                 unbounded.append("%s.%s" % (info.name, name))
-    # the character table of G wr S_n is the largest cache
-    assert "center._wreath_characters" in seen, "the walk is broken"
+        for name, value in vars(mod).items():
+            if isinstance(value, BoundedCache):
+                seen.add("%s.%s" % (info.name, name))
+                if not isinstance(value.maxsize, int):
+                    unbounded.append("%s.%s" % (info.name, name))
+    # the character tables of G wr S_n are the largest cache
+    assert "center._TABLES" in seen, "the walk is broken"
     assert not unbounded, unbounded
 
 

@@ -1,6 +1,8 @@
 """Center of the wreath group algebra: structure constants."""
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,7 @@ def test_route_choice(monkeypatch, triv, z2):
     table and stays on the kernel; (6) x (6) at n = 16 streams 960960
     elements, more than VALUE_COST times its 231 x 231 table, which is
     above MAX_TABLE_VALUES, so it stays on the kernel too."""
+    monkeypatch.setattr(center, "_TABLES", center.BoundedCache(4))
     monkeypatch.setattr(center, "_by_kernel", lambda *args: "kernel")
     monkeypatch.setattr(center, "_by_characters", lambda *args: "characters")
 
@@ -81,6 +84,69 @@ def test_route_choice(monkeypatch, triv, z2):
     assert route({0: (9,)}, {0: (6, 3)}, 9, triv) == "characters"
     assert route({0: (3,)}, {1: (3,)}, 6, z2) == "kernel"
     assert route({0: (6,)}, {0: (6,)}, 16, triv) == "kernel"
+
+
+def test_route_choice_with_no_table_held(monkeypatch):
+    """With no table held the rule is the one that charges every call the
+    whole build: each of the 66 products of the route grid in
+    BENCH_22.json takes the route recorded there, and no table is
+    built."""
+    grid = json.loads((Path(__file__).resolve().parents[1]
+                       / "BENCH_22.json").read_text())["route_grid"]
+    monkeypatch.setattr(center, "_TABLES", center.BoundedCache(4))
+    monkeypatch.setattr(center, "_by_kernel", lambda *args: "kernel")
+    monkeypatch.setattr(center, "_by_characters", lambda *args: "characters")
+    assert len(grid) == 66
+    for row in grid:
+        G, n = builtin_group(row["group"]), row["n"]
+        lam = PartitionFamily.from_json(row["lam"]).pad(n)
+        delta = PartitionFamily.from_json(row["del"]).pad(n)
+        assert product_classes(lam, delta, n, G) == row["chosen"], row
+    assert not center._TABLES
+
+
+def test_held_table_is_read(monkeypatch, triv):
+    """(6,2) x (3,2,2,2) at n = 9 streams 2,520 elements, below the 7,200
+    that a 30 x 30 table costs to build: with no table held it goes to
+    the kernel.  Once (4,2) x (3,2,2), which streams 7,560, has built the
+    table, reading it weighs 900 * READ_COST, and the same pair is
+    answered from the table with the kernel's vector."""
+    monkeypatch.setattr(center, "_TABLES", center.BoundedCache(4))
+    routes = []
+    for name in ("_by_kernel", "_by_characters"):
+        def spy(*args, route=getattr(center, name), name=name):
+            routes.append(name)
+            return route(*args)
+        monkeypatch.setattr(center, name, spy)
+
+    def fam(parts):
+        return PartitionFamily({0: parts}).pad(9)
+
+    lam, delta = fam((6, 2)), fam((3, 2, 2, 2))
+    size_l, size_d = class_order(lam, triv)[1], class_order(delta, triv)[1]
+    assert min(size_l, size_d) == 2520
+    by_kernel = product_classes(lam, delta, 9, triv)
+    product_classes(fam((4, 2)), fam((3, 2, 2)), 9, triv)
+    assert list(center._TABLES) == [(triv, 9)]
+    read = product_classes(lam, delta, 9, triv)
+    assert read == by_kernel
+    assert read.mass(triv) == by_kernel.mass(triv) == size_l * size_d
+    assert routes == ["_by_kernel", "_by_characters", "_by_characters"]
+
+
+def test_fifth_table_evicts_the_oldest(monkeypatch, triv):
+    """The process holds at most four tables: a fifth (G, n) evicts the
+    one built first, whose products are then charged the build again."""
+    monkeypatch.setattr(center, "_TABLES",
+                        center.BoundedCache(center._TABLES.maxsize))
+    for n in range(2, 7):
+        center._wreath_characters(triv, n)
+    assert list(center._TABLES) == [(triv, n) for n in range(3, 7)]
+    monkeypatch.setattr(center, "_by_kernel", lambda *args: "kernel")
+    monkeypatch.setattr(center, "_by_characters", lambda *args: "characters")
+    # (2) x (2) at n = 2 streams 1 element against a 2 x 2 table
+    two = PartitionFamily({0: (2,)})
+    assert product_classes(two, two, 2, triv) == "kernel"
 
 
 def assert_certified(lam, delta, n, G):

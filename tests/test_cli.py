@@ -292,16 +292,26 @@ def test_exit_cap_exceeded(capsys):
 def test_cap_weighs_the_route_that_runs(monkeypatch, capsys):
     """trivial (13) x (7,6) streams 148,262,400 elements, above the
     default cap, but goes to the characters, a 101 x 101 table weighing
-    10,201 * VALUE_COST = 81,608: it runs under the default cap, and a
-    cap of 50,000 refuses it before any table is built."""
+    10,201 * VALUE_COST = 81,608: it runs under the default cap, and with
+    no table held a cap of 50,000 refuses it before any table is built.
+    Once the process holds the table, reading it weighs 10,201 *
+    READ_COST = 1,275: a cap of 50,000 lets it run, with the same
+    stdout, and a cap of 1,000 refuses it."""
+    monkeypatch.setattr(center, "_TABLES", center.BoundedCache(4))
     argv = ["--group", "trivial", "ccoeff", "--n", "13",
             "--lam", '{"0": [13]}', "--del", '{"0": [7, 6]}']
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["mass"]["ok"] is True
+    out = capsys.readouterr().out
+    assert json.loads(out)["mass"]["ok"] is True
+    assert main(["--cap-class-size", "50000", *argv]) == 0
+    assert capsys.readouterr().out == out
+    assert main(["--cap-class-size", "1000", *argv]) == 5
+    assert "1275" in capsys.readouterr().err
 
     def refuse(*args):
         raise AssertionError("a table was built")
 
+    monkeypatch.setattr(center, "_TABLES", center.BoundedCache(4))
     monkeypatch.setattr(center, "_wreath_characters", refuse)
     assert main(["--cap-class-size", "50000", *argv]) == 5
     assert "81608" in capsys.readouterr().err

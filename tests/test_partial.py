@@ -4,8 +4,8 @@ import random
 import pytest
 
 from oracles import (
-    act, canonical_partial_representative, pp_multiply, pp_type, pp_unity,
-    proj, psi)
+    act, canonical_partial_representative, partial_from_json, pp_multiply,
+    pp_type, pp_unity, proj, psi)
 from wreath_centers.partial import (
     GPartialPermutation, class_size_partial, enumerate_partial_class,
     semigroup_order,
@@ -183,7 +183,7 @@ def test_json_round_trip():
     x = GPartialPermutation((2, 4), {2: 4, 4: 2}, {2: 1, 4: 0})
     j = x.to_json()
     assert j["support"] == [2, 4]
-    assert GPartialPermutation.from_json(j) == x
+    assert partial_from_json(j) == x
     # omitted omega / labels entries mean fixed point, identity label
-    y = GPartialPermutation.from_json({"support": [3]})
+    y = partial_from_json({"support": [3]})
     assert y == GPartialPermutation((3,), {3: 3}, {3: 0})

@@ -5,8 +5,8 @@ import pytest
 
 from oracles import contains, skew_count
 from wreath_centers.partitions import (
-    as_partition, conjugate, dim_partition, mn_character, partitions_of,
-    union, z_of)
+    as_partition, conjugate, dim_partition, mn_character, mn_column,
+    partitions_of, union, z_of)
 
 
 def test_as_partition_sorts_and_validates():
@@ -79,6 +79,20 @@ def test_mn_orthogonality_small():
 
 def test_mn_empty():
     assert mn_character((), ()) == 1
+
+
+def test_mn_columns_are_orthogonal():
+    """Whole columns at n = 9 and 10, where the table of G wr S_n for
+    trivial G is read: sum_lam chi^lam(rho) chi^lam(sigma) = z_rho when
+    rho = sigma, else 0."""
+    for n in (9, 10):
+        parts = partitions_of(n)
+        cols = [mn_column(rho) for rho in parts]
+        assert all(list(col) == list(parts) for col in cols)
+        for i, rho in enumerate(parts):
+            for j in range(i, len(parts)):
+                s = sum(cols[i][lam] * cols[j][lam] for lam in parts)
+                assert s == (z_of(rho) if i == j else 0), (rho, parts[j])
 
 
 def test_skew_count():
