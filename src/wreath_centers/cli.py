@@ -475,8 +475,10 @@ def cmd_poly(G, args):
 @functools.lru_cache(maxsize=16)
 def _proper_targets(top, ncls):
     """Every proper family of size up to top over ncls classes, in
-    families_up_to order; the pairs of a sweep share them by total size."""
-    return tuple(g for g in families_up_to(top, ncls) if g.is_proper())
+    families_up_to order, and ends[s], how many of them have size <= s;
+    the pairs of a sweep share them by total size."""
+    return (tuple(g for g in families_up_to(top, ncls) if g.is_proper()),
+            list(accumulate(_proper_counts(ncls, top))))
 
 
 def cmd_verify_poly(G, args):
@@ -512,16 +514,24 @@ def cmd_verify_poly(G, args):
         for a, b in pairs:
             # every proper target, zeros included, so a polynomial missing
             # from structure_polynomials shows up as a mismatch
-            gams = _proper_targets(a.size + b.size, G.num_classes)
+            top = a.size + b.size
+            gams, ends = _proper_targets(top, G.num_classes)
             ns = range(max(a.size, b.size), n_max + 1)
-            for n, g, predicted, direct in polynomiality_checks(
-                    a, b, gams, G, ns, args.cap_class_size):
-                checked += 1
-                if predicted != direct:
-                    mismatches.append({
-                        "lam": a.to_json(), "del": b.to_json(),
-                        "gamma": g.to_json(), "n": n,
-                        "predicted": predicted, "direct": direct})
+            for n, predicted, direct in polynomiality_checks(
+                    a, b, G, ns, args.cap_class_size):
+                within = ends[min(n, top)]
+                checked += within
+                if predicted == direct:
+                    continue
+                # only the targets name a check, so a key of direct that
+                # none of them names makes no row
+                for g in gams[:within]:
+                    p, d = predicted.get(g, 0), direct.get(g, 0)
+                    if p != d:
+                        mismatches.append({
+                            "lam": a.to_json(), "del": b.to_json(),
+                            "gamma": g.to_json(), "n": n,
+                            "predicted": p, "direct": d})
         payload = {"group": args.group_label, "mode": "sweep",
                    "size_cap": size_cap, "n_max": n_max,
                    "pairs": len(pairs), "checked": checked,

@@ -113,7 +113,8 @@ class CharacterCalculator:
     def x_table(self, deltas, lams):
         """[[x_value(lam, delta) for lam in lams] for delta in deltas],
         without x_value's cache, for callers that keep the values
-        themselves (the character table of G wr S_n).  Each delta's terms
+        themselves (the character table of G wr S_n) or read each once
+        (the chain rows of verify_theorem71).  Each delta's terms
         of one size are split once, into the Murnaghan-Nakayama columns
         of their parts and coordinate columns."""
         e = self.chars.exponent
@@ -257,14 +258,21 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     dims = [calc.dim(lam) for lam in points]
     for delta in deltas:
         order = orders[delta]
-        for lam, dim in zip(points, dims):
+        for s in range(point_size + 1):
+            lo, hi = ends[s - 1] if s else 0, ends[s]
             # the reference side, central characters: |G|^|delta| / Z_delta
-            # (|lam| falling |delta|) = order binomial(|lam|, |delta|)
-            rhs = Cyclotomic(e) if lam.size < delta.size else dot(
-                [order * comb(lam.size, delta.size)],
-                [calc.x_value(lam, delta.pad(lam.size))], e, dim)
-            yield row("chain", {"delta": jsons[delta], "lam": jsons[lam]},
-                      images[lam][delta], rhs)
+            # (|lam| falling |delta|) = order binomial(|lam|, |delta|),
+            # one x_table for all the points of size s
+            if s < delta.size:
+                rhss = [Cyclotomic(e)] * (hi - lo)
+            else:
+                scale = [order * comb(s, delta.size)]
+                rhss = [dot(scale, [x], e, dim) for x, dim in zip(
+                    calc.x_table([delta.pad(s)], points[lo:hi])[0],
+                    dims[lo:hi])]
+            for lam, rhs in zip(points[lo:hi], rhss):
+                yield row("chain", {"delta": jsons[delta], "lam": jsons[lam]},
+                          images[lam][delta], rhs)
 
     proper = [f for f in families if f.is_proper()]
     pairs = [(a, b) for i, a in enumerate(proper) for b in proper[i:]]

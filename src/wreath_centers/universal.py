@@ -184,20 +184,26 @@ def structure_polynomial(lam, delta, gamma, G):
     return poly
 
 
-def polynomiality_checks(lam, delta, targets, G, n_range, cap):
-    """Yield (n, gamma, predicted, direct) for each n of n_range and then
-    each target gamma with |gamma| <= n: predicted is c_{lam delta}^gamma(n)
-    from structure_polynomials, 0 where gamma has no polynomial, and direct
-    is the coefficient of gamma padded to n in the one product_classes of
-    that n.  Every n must be at least max(|lam|, |delta|)."""
+def polynomiality_checks(lam, delta, G, n_range, cap):
+    """Yield (n, predicted, direct) for each n of n_range, two sparse
+    maps over proper families: predicted sends each gamma with
+    |gamma| <= n to its nonzero c_{lam delta}^gamma(n) from
+    structure_polynomials, and direct sends each key of the one
+    product_classes of that n, stripped of its identity 1-parts, to its
+    coefficient.  A size-n key is its stripped family padded back to n,
+    so direct.get(gamma, 0) is the coefficient of gamma padded to n.
+    Every n must be at least max(|lam|, |delta|)."""
     polys = structure_polynomials(lam, delta, G)
     for n in n_range:
         vec = product_classes(lam.pad(n), delta.pad(n), n, G, cap)
-        for gam in targets:
+        predicted = {}
+        for gam, poly in polys.items():
             if gam.size <= n:
-                poly = polys.get(gam)
-                yield (n, gam, 0 if poly is None else poly.evaluate(n),
-                       vec.coeff(gam.pad(n)))
+                value = poly.evaluate(n)
+                if value:
+                    predicted[gam] = value
+        yield (n, predicted,
+               {fam.strip_ones()[0]: c for fam, c in vec.terms.items()})
 
 
 def verify_polynomiality(lam, delta, gamma, G, n_range, cap=DEFAULT_CLASS_CAP):
@@ -211,10 +217,11 @@ def verify_polynomiality(lam, delta, gamma, G, n_range, cap=DEFAULT_CLASS_CAP):
             poly.evaluate(n)
             yield n
 
-    rows = [{"n": n, "predicted": predicted, "direct": direct,
-             "match": predicted == direct}
-            for n, _, predicted, direct in polynomiality_checks(
-                lam, delta, (gamma,), G, defined(n_range), cap)]
+    rows = []
+    for n, predicted, direct in polynomiality_checks(
+            lam, delta, G, defined(n_range), cap):
+        p, d = predicted.get(gamma, 0), direct.get(gamma, 0)
+        rows.append({"n": n, "predicted": p, "direct": d, "match": p == d})
     return {
         "lam": lam.to_json(),
         "delta": delta.to_json(),

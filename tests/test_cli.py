@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from wreath_centers import center, cli, errors, universal
-from wreath_centers.center import product_classes
+from wreath_centers.center import (
+    DEFAULT_CLASS_CAP, AlgebraVector, product_classes,
+)
 from wreath_centers.cli import main
 from wreath_centers.groups import builtin_group
 from wreath_centers.wreath import PartitionFamily, families_up_to
@@ -424,6 +426,8 @@ def test_verify_poly_sweep_cap_checked_before_sweeping(monkeypatch, capsys):
 
 
 class _Zeros:
+    terms = {}
+
     def coeff(self, fam):
         return 0
 
@@ -447,6 +451,97 @@ def test_verify_poly_checks_counted_in_closed_form(monkeypatch, capsys, spec):
         checked = json.loads(capsys.readouterr().out)["checked"]
         args = argparse.Namespace(size_cap=size_cap, n=n, samples=samples)
         assert cli._poly_checks(G, args) == checked, argv
+
+
+def _corrupted_products(kind):
+    """A product_classes that changes every vector the real one gives:
+    "plus" adds 1 to its first coefficient, "move" moves a count of 1
+    from its first key to its last, and "unnamed" adds a key whose
+    stripped family is larger than |lam| + |del|, which no target names,
+    at each n above |lam| + |del|."""
+    real = universal.product_classes
+
+    def product(lam, delta, n, G, cap):
+        vec = real(lam, delta, n, G, cap)
+        terms = dict(vec.terms)
+        keys = [fam for fam, _ in vec.items()]
+        if kind == "plus":
+            terms[keys[0]] += 1
+        elif kind == "move":
+            terms[keys[0]] -= 1
+            terms[keys[-1]] += 1
+        elif n > lam.strip_ones()[0].size + delta.strip_ones()[0].size:
+            terms[PartitionFamily({0: (n,)})] = 1
+        return AlgebraVector(n, terms)
+    return product
+
+
+def _per_target_sweep(G, size_cap, n_max, product):
+    """checked and mismatches of a verify-poly sweep, one target at a
+    time: each proper gamma of size up to min(n, |lam| + |del|), its
+    polynomial at n (0 if it has none) against the coefficient of gamma
+    padded to n."""
+    proper = [f for f in families_up_to(size_cap, G.num_classes)
+              if f.is_proper()]
+    checked, rows = 0, []
+    for i, a in enumerate(proper):
+        for b in proper[i:]:
+            polys = universal.structure_polynomials(a, b, G)
+            gams = [g for g in families_up_to(a.size + b.size, G.num_classes)
+                    if g.is_proper()]
+            for n in range(max(a.size, b.size), n_max + 1):
+                vec = product(a.pad(n), b.pad(n), n, G, DEFAULT_CLASS_CAP)
+                for g in gams:
+                    if g.size > n:
+                        continue
+                    checked += 1
+                    poly = polys.get(g)
+                    p = 0 if poly is None else poly.evaluate(n)
+                    d = vec.coeff(g.pad(n))
+                    if p != d:
+                        rows.append({"lam": a.to_json(), "del": b.to_json(),
+                                     "gamma": g.to_json(), "n": n,
+                                     "predicted": p, "direct": d})
+    return checked, rows
+
+
+@pytest.mark.parametrize("kind", ["plus", "move", "unnamed"])
+@pytest.mark.parametrize("spec", ["cyclic:2", "sym:3"])
+def test_verify_poly_reports_each_mismatch(monkeypatch, capsys, spec, kind):
+    """With product_classes corrupted, the sweep, which compares one
+    sparse map per product, and single mode report what a per-target
+    comparison reports: checked, and every mismatch row in the same
+    order with the same fields."""
+    product = _corrupted_products(kind)
+    monkeypatch.setattr(universal, "product_classes", product)
+    G = builtin_group(spec)
+    checked, rows = _per_target_sweep(G, 1, 4, product)
+    assert checked and (kind == "unnamed") == (not rows)
+    rc = main(["--group", spec, "verify-poly", "--size-cap", "1", "--n", "4"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (rc, payload["checked"]) == (1 if rows else 0, checked)
+    assert ([list(r.items()) for r in payload["mismatches"]]
+            == [list(r.items()) for r in rows])
+
+    proper = [f for f in families_up_to(1, G.num_classes) if f.is_proper()]
+    for i, a in enumerate(proper):
+        for b in proper[i:]:
+            polys = universal.structure_polynomials(a, b, G)
+            for gam in families_up_to(a.size + b.size, G.num_classes):
+                if not gam.is_proper():
+                    continue
+                lo = max(a.size, b.size, gam.size)
+                want = []
+                for n in range(lo, 5):
+                    poly = polys.get(gam)
+                    p = 0 if poly is None else poly.evaluate(n)
+                    d = product(a.pad(n), b.pad(n), n, G,
+                                DEFAULT_CLASS_CAP).coeff(gam.pad(n))
+                    want.append([("n", n), ("predicted", p),
+                                 ("direct", d), ("match", p == d)])
+                report = universal.verify_polynomiality(
+                    a, b, gam, G, range(lo, 5))
+                assert [list(r.items()) for r in report["rows"]] == want
 
 
 @pytest.mark.parametrize("spec, n", [("sym:3", "4"), ("dihedral:4", "3")])
@@ -858,3 +953,38 @@ def test_verify_iso_sweep_pinned(capsys, spec, fmt):
     assert main(["--group", spec, "--format", fmt, *SWEEP_ARGV[spec]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT[spec, fmt]
+
+
+# The benchmark's three verify-poly sweeps, sha256 of stdout keyed by
+# (group, format) as above.  A passing sweep prints no mismatch rows, so
+# its three CSV files are the one header line.
+POLY_SWEEP_ARGV = {
+    "cyclic:2": ("verify-poly", "--n", "6", "--size-cap", "3"),
+    "cyclic:3": ("verify-poly", "--n", "5", "--size-cap", "2"),
+    "dihedral:2": ("verify-poly", "--n", "4", "--size-cap", "2"),
+}
+POLY_SWEEP_STDOUT = {
+    ("cyclic:2", "json"):
+        "586b1bb3232d77066d0243a5e6634ba633ae92f3752061f17b4f1b8274ce18ce",
+    ("cyclic:2", "csv"):
+        "dc7db71c87902b0db8958fb4bc94b3de41ed5537c6463cdb5c2bf2974c1cf2ec",
+    ("cyclic:3", "json"):
+        "2f25ef07eb068067258c9bb5b6edc9afe1e3c0975b49b434484a5647c305ccd8",
+    ("cyclic:3", "csv"):
+        "dc7db71c87902b0db8958fb4bc94b3de41ed5537c6463cdb5c2bf2974c1cf2ec",
+    ("dihedral:2", "json"):
+        "60212159e25899a53b10ebee7dd2baf1d72d4df512dc0c8525142db920aee39c",
+    ("dihedral:2", "csv"):
+        "dc7db71c87902b0db8958fb4bc94b3de41ed5537c6463cdb5c2bf2974c1cf2ec",
+}
+
+
+@pytest.mark.parametrize("spec, fmt", sorted(POLY_SWEEP_STDOUT))
+def test_verify_poly_sweep_pinned(capsys, spec, fmt):
+    """The checked count and the mismatch list of the benchmark's
+    verify-poly sweeps are pinned."""
+    assert main(["--group", spec, "--format", fmt,
+                 *POLY_SWEEP_ARGV[spec]]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == POLY_SWEEP_STDOUT[spec, fmt])

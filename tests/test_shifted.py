@@ -1,4 +1,5 @@
 """Shifted-symmetric layer: characters, sharp functions, the iso checks."""
+import itertools
 import json
 import math
 from collections import Counter
@@ -206,6 +207,41 @@ def test_verify_theorem71_non_abelian(gname, size_cap, point_size):
                                  point_size=point_size))
     assert {r["check"] for r in rows} == {"chain", "homomorphism"}
     assert all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize("group, size_cap", [
+    (lambda: builtin_group("sym:3"), 2),
+    (lambda: builtin_group("dihedral:4"), 1), (q8_group, 1)],
+    ids=["sym:3", "dihedral:4", "Q8"])
+def test_chain_rhs_is_the_per_row_formula(monkeypatch, group, size_cap):
+    """Each chain row's rhs, which the sweep reads from one x_table per
+    (delta, point size), is |C_delta| binom(|lam|, |delta|) X^lam at
+    delta padded / dim lam, with the character value read one at a time
+    through x_value of a calculator of its own, and 0 when |lam| < |delta|.
+    The rows keep their exact values, as _fmt is the identity here.
+    Every delta pads to each point size from |delta| to 4; size_cap is
+    1 on the two groups of order 8 to keep within the budget: under 1 s
+    for the three groups (0.5 s measured)."""
+    G = group()
+    monkeypatch.setattr(shifted, "_fmt", lambda v: v)
+    calc = CharacterCalculator(G)
+    e = calc.chars.exponent
+    deltas = list(families_up_to(size_cap, G.num_classes))
+    points = list(families_up_to(4, len(calc.chars.rows), kind="char"))
+    rows = itertools.takewhile(
+        lambda r: r["check"] == "chain",
+        verify_theorem71(G, size_cap=size_cap, point_size=4))
+    checked = 0
+    for r, (delta, lam) in zip(rows, itertools.product(deltas, points)):
+        assert r["input"] == {"delta": delta.to_json(), "lam": lam.to_json()}
+        want = Cyclotomic(e)
+        if lam.size >= delta.size:
+            scale = class_order(delta, G)[1] * math.comb(lam.size, delta.size)
+            want = (calc.x_value(lam, delta.pad(lam.size)) * scale
+                    * Cyclotomic(e, 1, calc.dim(lam)))
+        assert r["rhs"] == want and r["pass"], (delta, lam)
+        checked += 1
+    assert checked == len(deltas) * len(points)
 
 
 @pytest.mark.parametrize("gname", [
