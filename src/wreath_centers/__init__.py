@@ -14,8 +14,7 @@ from .partial import (
     GPartialPermutation, class_size_partial, enumerate_partial_class,
     semigroup_order)
 from .shifted import CharacterCalculator, image_eval, verify_theorem71
-from .universal import (
-    PolynomialInN, k_coeff, structure_polynomial, verify_polynomiality)
+from .universal import PolynomialInN, k_coeff, structure_polynomial
 from .wreath import (
     PartitionFamily, WreathElement, class_order, enumerate_class,
     families_of_size, families_up_to, type_of, w_inverse, w_multiply)
@@ -31,6 +30,6 @@ __all__ = [
     "families_of_size", "families_up_to", "group_from_json",
     "group_from_table", "image_eval", "k_coeff", "product_classes",
     "resolve_group", "semigroup_order",
-    "structure_polynomial", "type_of", "verify_polynomiality",
-    "verify_theorem71", "w_inverse", "w_multiply",
+    "structure_polynomial", "type_of", "verify_theorem71",
+    "w_inverse", "w_multiply",
 ]

@@ -30,7 +30,7 @@ from .partial import class_size_partial, enumerate_partial_class, semigroup_orde
 from .shifted import verify_theorem71
 from .universal import (
     k_stream_size, k_vector, polynomiality_checks, structure_polynomial,
-    structure_polynomials, verify_polynomiality)
+    structure_polynomials)
 from .wreath import (
     PartitionFamily, class_order, families_of_size, families_up_to, family_count)
 
@@ -111,13 +111,14 @@ def _resolve(spec):
 
 def _parse_family(text, G, what):
     try:
-        obj = json.loads(text)
+        # an object loads as its (key, value) pairs: no repeat is lost
+        obj = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--{what}: not valid JSON: {exc}")
-    if not isinstance(obj, dict):
+    if not isinstance(obj, tuple):
         raise UsageError(f"--{what}: family must be a JSON object")
     items = {}
-    for key, parts in obj.items():
+    for key, parts in obj:
         try:
             idx = int(key)
         except ValueError:
@@ -126,6 +127,8 @@ def _parse_family(text, G, what):
             raise UsageError(
                 f"--{what}: class id {idx} out of range "
                 f"(group has {G.num_classes} classes)")
+        if idx in items:
+            raise UsageError(f"--{what}: class id {idx} given twice")
         if not isinstance(parts, list) or not all(
                 type(p) is int and p >= 1 for p in parts):
             raise UsageError(f"--{what}: parts for class {idx} must be "
@@ -490,13 +493,16 @@ def cmd_verify_poly(G, args):
                 "--lam/--del/--gam")
         lam, delta = _k_pair(G, args)
         gam = _parse_family(args.gam, G, "gam")
-        lo = max(lam.size, delta.size, gam.size)
-        report = verify_polynomiality(lam, delta, gam, G,
-                                      range(lo, max(lo, n_max) + 1),
-                                      cap=args.cap_class_size)
+        poly = structure_polynomial(lam, delta, gam, G)
+        rows = []  # n from poly.min_n = max(|lam|, |del|, |gam|)
+        for n, predicted, direct in polynomiality_checks(
+                lam, delta, G, range(poly.min_n, max(poly.min_n, n_max) + 1),
+                args.cap_class_size):
+            p, d = predicted.get(gam, 0), direct.get(gam, 0)
+            rows.append({"n": n, "predicted": p, "direct": d, "match": p == d})
         payload = {"group": args.group_label, "mode": "single",
-                   "polynomial": report["polynomial"],
-                   "rows": report["rows"], "pass": report["all_match"]}
+                   "polynomial": poly.to_json(), "rows": rows,
+                   "pass": all(r["match"] for r in rows)}
     else:
         size_cap = args.size_cap
         _cap_total("2*size_cap", 2 * size_cap)

@@ -16,7 +16,6 @@ from math import comb, factorial, perm, prod
 from operator import getitem, le, mul
 
 from .center import BoundedCache
-from .errors import SizeMismatch
 from .groups import Cyclotomic, columns, dot
 from .partitions import dim_partition, mn_character, mn_column
 from .partitions import union as part_union
@@ -43,7 +42,6 @@ class CharacterCalculator:
         self._terms = BoundedCache(4096)
         self._within = BoundedCache(4096)
         self._points = BoundedCache(4096)
-        self._x_cache = BoundedCache(4096)
 
     def conjugate_terms(self, fam):
         """P_fam in the character-alphabet basis, P_r(c) = sum_gamma
@@ -98,25 +96,13 @@ class CharacterCalculator:
                 lambda key: _term_value(key, point, degrees, den)))
         return hit
 
-    def x_value(self, lam, delta):
-        """X^lam_delta for |lam| = |delta|, exactly; lam char-indexed,
-        delta a type."""
-        if lam.size != delta.size:
-            raise SizeMismatch(
-                "|lam|=%d vs |delta|=%d" % (lam.size, delta.size))
-        key = (lam, delta)
-        hit = self._x_cache.get(key)
-        if hit is None:
-            hit = self._x_cache[key] = self.x_table([delta], [lam])[0][0]
-        return hit
-
     def x_table(self, deltas, lams):
-        """[[x_value(lam, delta) for lam in lams] for delta in deltas],
-        without x_value's cache, for callers that keep the values
-        themselves (the character table of G wr S_n) or read each once
-        (the chain rows of verify_theorem71).  Each delta's terms
-        of one size are split once, into the Murnaghan-Nakayama columns
-        of their parts and coordinate columns."""
+        """[[X^lam_delta for lam in lams] for delta in deltas] exactly,
+        lams char-indexed and deltas types of one size, uncached: callers
+        keep the table (the character table of G wr S_n) or read each
+        value once (the chain rows of verify_theorem71).  Each delta's
+        terms of one size are split once, into the Murnaghan-Nakayama
+        columns of their parts and coordinate columns."""
         e = self.chars.exponent
         zero = Cyclotomic(e).num
         own = [(self.point_data(lam)[1], [parts for _, parts in lam.entries])

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 
-from .center import DEFAULT_CLASS_CAP, divide_histogram, product_classes
+from .center import divide_histogram, product_classes
 from .errors import NotProper
 from .kernels import partial_type_histogram
 from .partial import class_size_partial
@@ -36,7 +36,6 @@ __all__ = [
     "structure_polynomial",
     "structure_polynomials",
     "polynomiality_checks",
-    "verify_polynomiality",
 ]
 
 
@@ -205,28 +204,3 @@ def polynomiality_checks(lam, delta, G, n_range, cap):
         yield (n, predicted,
                {fam.strip_ones()[0]: c for fam, c in vec.terms.items()})
 
-
-def verify_polynomiality(lam, delta, gamma, G, n_range, cap=DEFAULT_CLASS_CAP):
-    """Evaluate the polynomial against direct center computation for
-    each n; returns {"rows": [...], "all_match": bool}."""
-    poly = structure_polynomial(lam, delta, gamma, G)
-
-    def defined(ns):
-        # an n below poly.min_n raises ValueError before its product runs
-        for n in ns:
-            poly.evaluate(n)
-            yield n
-
-    rows = []
-    for n, predicted, direct in polynomiality_checks(
-            lam, delta, G, defined(n_range), cap):
-        p, d = predicted.get(gamma, 0), direct.get(gamma, 0)
-        rows.append({"n": n, "predicted": p, "direct": d, "match": p == d})
-    return {
-        "lam": lam.to_json(),
-        "delta": delta.to_json(),
-        "gamma": gamma.to_json(),
-        "polynomial": poly.to_json(),
-        "rows": rows,
-        "all_match": all(r["match"] for r in rows),
-    }

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against and
 the package itself never calls: the listing of G wr S_n, the cycle count
 of a family, the certificate of a center expansion, the partial-permutation
-semigroup and its JSON reader, the brute-force k coefficient, and p#, s#
-and skew tableau counts on one alphabet."""
+semigroup and its JSON reader, the brute-force k coefficient, p#, s#
+and skew tableau counts on one alphabet, and one character value of
+G wr S_n at a time."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +48,12 @@ def buckets(G, n):
 def num_cycles(fam):
     """The number of cycles of a family: its parts over every index."""
     return sum(len(lam) for _, lam in fam.entries)
+
+
+def x_value(calc, lam, delta):
+    """X^lam_delta, lam char-indexed and delta a type of the same size:
+    the one entry of calc.x_table, with no cache of its own."""
+    return calc.x_table([delta], [lam])[0][0]
 
 
 @lru_cache(maxsize=8)

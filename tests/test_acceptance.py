@@ -22,6 +22,7 @@ from oracles import (
     pp_type,
     s_sharp_eval,
     skew_count,
+    x_value,
 )
 from wreath_centers.center import product_classes
 from wreath_centers.groups import builtin_group, dot
@@ -393,7 +394,7 @@ def test_criterion_07_character_layer():
     if degs != [1, 1, 1, 1, 2]:
         failures.append("degrees %r, expected [1, 1, 1, 1, 2]" % degs)
     ident = F({0: (1, 1)})
-    sq = sum(calc.x_value(fam, ident) * calc.x_value(fam, ident).conjugate()
+    sq = sum(x_value(calc, fam, ident) * x_value(calc, fam, ident).conjugate()
              for fam in fams)
     if sq != 8:
         failures.append("sum of squared degrees %r, expected 8" % sq)

@@ -5,6 +5,7 @@ import inspect
 import pkgutil
 
 import wreath_centers
+from oracles import x_value
 from wreath_centers.center import BoundedCache
 from wreath_centers.shifted import CharacterCalculator
 from wreath_centers.wreath import families_of_size
@@ -59,7 +60,7 @@ def test_calculator_caches_evict_oldest(z2):
     calc = CharacterCalculator(z2)
     caches = {name: value for name, value in vars(calc).items()
               if isinstance(value, BoundedCache)}
-    assert set(caches) == {"_terms", "_within", "_points", "_x_cache"}
+    assert set(caches) == {"_terms", "_within", "_points"}
     for cache in caches.values():
         cache.maxsize = 3
     ref = CharacterCalculator(z2)
@@ -67,7 +68,6 @@ def test_calculator_caches_evict_oldest(z2):
     pairs = [(lam, delta) for lam in families_of_size(3, 2, "char")
              for delta in deltas]
     for lam, delta in pairs * 2:
-        assert calc.x_value(lam, delta) == ref.x_value(lam, delta)
+        assert x_value(calc, lam, delta) == x_value(ref, lam, delta)
         assert all(len(cache) <= 3 for cache in caches.values())
-    assert list(calc._x_cache) == pairs[-3:]
     assert list(calc._terms) == deltas[-3:]

@@ -208,6 +208,35 @@ def test_verify_poly_single_triple():
     assert all(row["match"] for row in payload["rows"])
 
 
+def test_verify_poly_single_gam_not_proper(monkeypatch, capsys):
+    """A --gam with 1-parts at the identity class exits 3, with empty
+    stdout, before any product runs (exit code and stdout recorded
+    before single mode called the batch path directly)."""
+    def refuse(*args, **kw):
+        raise AssertionError("a product ran")
+
+    monkeypatch.setattr(universal, "product_classes", refuse)
+    for gam in ('{"0": [1]}', '{"0": [1], "1": [2]}'):
+        assert main(["--group", "cyclic:2", "verify-poly", "--lam",
+                     '{"1": [2]}', "--del", '{"1": [2]}', "--gam", gam,
+                     "--n", "5"]) == 3
+        out, errout = capsys.readouterr()
+        assert out == "" and errout.startswith("error: gamma="), gam
+
+
+def test_verify_poly_single_n_below_min_n(capsys):
+    """--n below the polynomial's min_n = max(|lam|, |del|, |gam|) = 4
+    gives exactly one row, at min_n (stdout recorded before single mode
+    called the batch path directly)."""
+    assert main(["--group", "cyclic:2", "verify-poly", "--lam", '{"1": [2]}',
+                 "--del", '{"1": [2]}', "--gam", '{"1": [2, 2]}',
+                 "--n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert [r["n"] for r in json.loads(out)["rows"]] == [4]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2618966abba4a84667ff869e27df12817baad5b22c5045ac05e477332b11a627")
+
+
 def test_enumerate_partial_counts():
     r = run("--group", "cyclic:2", "enumerate-partial", "--n", "2")
     data = json.loads(r.stdout)
@@ -247,6 +276,16 @@ def test_family_parts_must_be_positive_integers(capsys, parts):
     assert main(["--group", "cyclic:2", "kcoeff", "--lam", '{"1": %s}' % parts,
                  "--del", '{"1": [1]}']) == 2
     assert "must be a list of positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ['{"1": [1], "01": [2]}',
+                                 '{"1": [1], "1": [2]}'])
+def test_family_class_id_given_twice(capsys, lam):
+    """A class id given twice, as another spelling or verbatim, is a
+    usage error, not merged into one entry with a part lost."""
+    assert main(["--group", "cyclic:2", "kcoeff", "--lam", lam,
+                 "--del", '{"1": [1]}']) == 2
+    assert capsys.readouterr().err == "error: --lam: class id 1 given twice\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -404,7 +443,8 @@ def test_verify_poly_single_cap_checked_before_streaming(monkeypatch, capsys):
     def refuse(*args, **kw):
         raise AssertionError("the k stream started")
 
-    monkeypatch.setattr(cli, "verify_polynomiality", refuse)
+    monkeypatch.setattr(cli, "structure_polynomial", refuse)
+    monkeypatch.setattr(cli, "polynomiality_checks", refuse)
     assert main(["--group", "cyclic:3", "--cap-class-size", "1000",
                  "verify-poly", "--lam", '{"1": [5]}', "--del", '{"1": [5]}',
                  "--gam", '{"1": [5, 5]}', "--n", "10"]) == 5
@@ -539,9 +579,13 @@ def test_verify_poly_reports_each_mismatch(monkeypatch, capsys, spec, kind):
                                 DEFAULT_CLASS_CAP).coeff(gam.pad(n))
                     want.append([("n", n), ("predicted", p),
                                  ("direct", d), ("match", p == d)])
-                report = universal.verify_polynomiality(
-                    a, b, gam, G, range(lo, 5))
-                assert [list(r.items()) for r in report["rows"]] == want
+                rc = main(["--group", spec, "verify-poly",
+                           "--lam", json.dumps(a.to_json()),
+                           "--del", json.dumps(b.to_json()),
+                           "--gam", json.dumps(gam.to_json()), "--n", "4"])
+                rows = json.loads(capsys.readouterr().out)["rows"]
+                assert [list(r.items()) for r in rows] == want
+                assert rc == (0 if all(r["match"] for r in rows) else 1)
 
 
 @pytest.mark.parametrize("spec, n", [("sym:3", "4"), ("dihedral:4", "3")])

@@ -1,4 +1,5 @@
 """Universal (n-independent) structure coefficients and polynomiality."""
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,12 +11,13 @@ from conftest import class_map, q8_group
 from oracles import (
     GuardrailExceeded, canonical_partial_representative, k_coeff_oracle,
     pp_multiply, pp_type)
+from wreath_centers.cli import main
 from wreath_centers.errors import NotProper
 from wreath_centers.groups import builtin_group
 from wreath_centers.partial import class_size_partial, enumerate_partial_class
 from wreath_centers.universal import (
     PolynomialInN, k_coeff, k_stream_size, k_vector,
-    structure_polynomial, structure_polynomials, verify_polynomiality,
+    structure_polynomial, structure_polynomials,
 )
 from wreath_centers.wreath import PartitionFamily, families_up_to, family_order
 
@@ -214,33 +216,32 @@ def test_evaluate_below_min_n(z2):
     assert poly.min_n == 4
     with pytest.raises(ValueError):
         poly.evaluate(3)
-    # verify_polynomiality refuses n = 3 before its product runs, so the
-    # cap of 1 is never met
-    with pytest.raises(ValueError):
-        verify_polynomiality(PartitionFamily({1: (2,)}),
-                             PartitionFamily({1: (2,)}),
-                             PartitionFamily({1: (2, 2)}), z2, range(3, 6), 1)
 
 
-def test_verify_polynomiality(z2):
-    lam = PartitionFamily({1: (2,)})
-    delta = PartitionFamily({0: (2,)})
-    gamma = PartitionFamily({1: (2,), 0: (2,)})
-    out = verify_polynomiality(lam, delta, gamma, z2, range(4, 7))
-    assert out["all_match"] is True
+def _verify_single(capsys, spec, lam, delta, gamma, n):
+    """(exit code, payload) of single-mode verify-poly."""
+    rc = main(["--group", spec, "verify-poly", "--lam", json.dumps(lam),
+               "--del", json.dumps(delta), "--gam", json.dumps(gamma),
+               "--n", str(n)])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_verify_polynomiality(capsys):
+    rc, out = _verify_single(capsys, "cyclic:2", {"1": [2]}, {"0": [2]},
+                             {"1": [2], "0": [2]}, 6)
+    assert rc == 0 and out["pass"] is True
     assert [r["n"] for r in out["rows"]] == [4, 5, 6]
     assert all(r["predicted"] == r["direct"] for r in out["rows"])
 
 
-def test_verify_polynomiality_small_gamma(triv):
+def test_verify_polynomiality_small_gamma(capsys):
     """Targets smaller than max(|lam|, |delta|) after stripping appear
     via their padded forms; the window bound constrains the padded
     family, not the proper base."""
-    lam = PartitionFamily({0: (2,)})
-    delta = PartitionFamily({0: (3,)})
-    gamma = PartitionFamily({0: (2,)})
-    out = verify_polynomiality(lam, delta, gamma, triv, range(3, 7))
-    assert out["all_match"] is True
+    rc, out = _verify_single(capsys, "trivial", {"0": [2]}, {"0": [3]},
+                             {"0": [2]}, 6)
+    assert rc == 0 and out["pass"] is True
+    assert [r["n"] for r in out["rows"]] == [3, 4, 5, 6]
     assert any(r["direct"] for r in out["rows"])
 
 
