@@ -23,7 +23,7 @@ from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii
 
 from . import errors as err
-from .center import DEFAULT_CLASS_CAP, product_classes
+from .center import DEFAULT_CLASS_CAP, BoundedCache, product_classes
 from .groups import group_from_json, resolve_group
 from .kernels import _MAX_N, BACKEND
 from .partial import class_size_partial, enumerate_partial_class, semigroup_order
@@ -119,10 +119,11 @@ def _parse_family(text, G, what):
         raise UsageError(f"--{what}: family must be a JSON object")
     items = {}
     for key, parts in obj:
-        try:
-            idx = int(key)
-        except ValueError:
-            raise UsageError(f"--{what}: class id {key!r} is not an integer")
+        # int() would also read signs, spaces, "_" and non-ASCII digits
+        if not (key.isascii() and key.isdigit()):
+            raise UsageError(
+                f"--{what}: class id {key!r} is not a decimal integer")
+        idx = int(key)
         if not 0 <= idx < G.num_classes:
             raise UsageError(
                 f"--{what}: class id {idx} out of range "
@@ -185,7 +186,8 @@ def _json_text(payload):
     keeps every object alive, so (id, indent) names one encoding for the
     length of the call.  The first meeting only marks the key, and the
     second keeps the string, so containers met once (the rows themselves)
-    are freed as soon as their parent has joined them.
+    are freed as soon as their parent has joined them.  A dict's keys are
+    encoded once per layout (_json_heads), for the life of the process.
     A value that is not JSON-native raises TypeError, as json.dumps does.
     """
     return _json_value(payload, 0, {})
@@ -216,33 +218,53 @@ def _json_value(o, ind, memo):
                     "is not JSON serializable")
 
 
+# the heads of the dict layouts met, keyed by (indent, *keys): the text
+# before each value, that is the opening or a comma, a new line, the key
+# and ": "
+_HEADS = BoundedCache(256)
+
+
+def _json_heads(layout):
+    """The heads of a dict layout, kept in _HEADS if its keys are str."""
+    inner = layout[0]
+    comma = ",\n" + " " * inner
+    heads = [comma + _json_key(k) + ": " for k in layout[1:]]
+    heads[0] = "{" + heads[0][1:]
+    heads = tuple(heads)
+    # 1, 1.0 and True are one key of a tuple but print apart, and a str
+    # equals only a str, so an all-str layout names one set of heads
+    if all([type(k) is str for k in layout[1:]]):
+        _HEADS[layout] = heads
+    return heads
+
+
 def _json_container(o, ind, memo):
     if not o:
         return "{}" if isinstance(o, dict) else "[]"
     inner = ind + 2
     leaves = _JSON_LEAVES
-    comma = ",\n" + " " * inner
     # one flat join: the pieces and the result are the only copies held
-    pieces = []
     if isinstance(o, dict):
-        for k, v in o.items():
+        layout = (inner, *o)
+        pieces = [None] * (2 * len(o))
+        pieces[::2] = _HEADS.get(layout) or _json_heads(layout)
+        k = 1
+        for v in o.values():
             leaf = leaves.get(type(v))
-            pieces += (comma,
-                       encode_basestring_ascii(k) if type(k) is str
-                       else _json_key(k),
-                       ": ",
-                       leaf(v) if leaf is not None
-                       else _json_value(v, inner, memo))
-        opening, closing = "{", "}"
-    else:
-        for v in o:
-            leaf = leaves.get(type(v))
-            pieces += (comma,
-                       leaf(v) if leaf is not None
-                       else _json_value(v, inner, memo))
-        opening, closing = "[", "]"
-    pieces[0] = opening + comma[1:]
-    pieces.append("\n" + " " * ind + closing)
+            pieces[k] = (leaf(v) if leaf is not None
+                         else _json_value(v, inner, memo))
+            k += 2
+        pieces.append("\n" + " " * ind + "}")
+        return "".join(pieces)
+    comma = ",\n" + " " * inner
+    pieces = []
+    for v in o:
+        leaf = leaves.get(type(v))
+        pieces += (comma,
+                   leaf(v) if leaf is not None
+                   else _json_value(v, inner, memo))
+    pieces[0] = "[" + comma[1:]
+    pieces.append("\n" + " " * ind + "]")
     return "".join(pieces)
 
 

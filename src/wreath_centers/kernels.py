@@ -12,12 +12,17 @@ g_r = z_{z(r)}, L_r = 1.  A step places one cycle C of the shortest spec
 left, fixed points aside, anywhere on R, or every fixed point of one class
 on a subset C; it counts the u-cycles that close in C and folds each chain
 through C into R - C.  Once only central fixed points are left, their
-labels are spread over the tau-cycles.  Relabeling R and conjugating by
-G^R keep every type, so a state is keyed by the specs left and, per
-tau-cycle, its least L-rotation and label-product class; it is rebuilt
-as canonical_representative lays cycles out and solved once per call.
+labels are spread over the tau-cycles; once only one central label a is
+left, each tau-cycle (ls, c) takes |ls| copies of it in one way and
+closes one u-cycle of length sum(ls) and class cls(a^|ls| rep_c), so the
+state is one key.  Relabeling R and conjugating by G^R keep every type,
+so a state is keyed by the specs left and, per tau-cycle, its least
+L-rotation and label-product class; it is rebuilt as
+canonical_representative lays cycles out and solved once per call.
 The cycles of a spec longer than 1 go in every order, so counts are
 divided by the product of their count!.  Packed types add as integers.
+G's tables and each spec's label rows depend on nothing else, so they
+are built once per group and kept.
 
 A label may also be absent (index G.order, class G.num_classes): an
 identity adjoined to G for a point outside a partial permutation's
@@ -26,6 +31,7 @@ is one position; u is absent only where w and z are, and keys leave it out.
 partial_type_histogram writes such elements.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, perm, prod
 
@@ -110,21 +116,34 @@ def partial_type_histogram(G, streamed, fixed):
     return _histogram(G, fam, z)
 
 
+@lru_cache(maxsize=16)
+def _group_tables(G):
+    """(mul, cls_of, reps, cols) of G with the absent identity adjoined as
+    label G.order, class G.num_classes; cols[h][a] = a h."""
+    absent = G.order
+    mul = tuple(row + (a,) for a, row in enumerate(G.mul)) + (tuple(range(absent + 1)),)
+    return (mul, G.class_of + (G.num_classes,),
+            tuple(members[0] for members in G.classes) + (absent,),
+            tuple(zip(*mul)))
+
+
+@lru_cache(maxsize=256)
+def _label_rows(G, spec):
+    """The label rows of one (length, class) spec; row[-1], the absent
+    identity, is read at the positions off the placed cycle."""
+    if spec[1] == G.num_classes:
+        return ((G.order, G.order),)
+    return tuple(row + (G.order,) for row in label_tables([(spec, 1)], G)[spec])
+
+
 def _histogram(G, fam, z):
     ncls = G.num_classes
-    # G with the absent identity adjoined as label G.order, class ncls
     absent = G.order
-    mul = [row + (a,) for a, row in enumerate(G.mul)] + [tuple(range(absent + 1))]
-    cls_of = G.class_of + (ncls,)
-    reps = [members[0] for members in G.classes] + [absent]
-    cols = list(zip(*mul))  # cols[h][a] = a h
+    mul, cls_of, reps, cols = _group_tables(G)
     width = fam.size + 1
     kinds = cycle_kinds(fam)
     specs = [spec for spec, _ in kinds]
-    # row[-1], the absent identity, is read at the positions off the placed cycle
-    tables = {spec: [row + (absent,) for row in rows] for spec, rows in
-              label_tables([kind for kind in kinds if kind[0][1] < ncls], G).items()}
-    tables[1, ncls] = [(absent, absent)]
+    tables = {spec: _label_rows(G, spec) for spec in specs}
     # the labels of each fixed-point spec; a central class has one
     fixed = {k: [row[0] for row in tables[spec]]
              for k, spec in enumerate(specs) if spec[0] == 1}
@@ -138,6 +157,18 @@ def _histogram(G, fam, z):
         live = [k for k, count in enumerate(left) if count]
         if not live:
             return {0: 1}
+        if len(live) == 1 and live[0] in central:
+            # one central label a is left: each tau-cycle (ls, c) takes
+            # |ls| copies of it, in one way, and closes one u-cycle of
+            # length sum(ls) and class cls(a^|ls| rep_c)
+            a, closed = central[live[0]], 0
+            for ls, c in cycles:
+                acc = reps[c]
+                for _ in ls:
+                    acc = mul[a][acc]
+                closed += 1 << 8 * (cls_of[acc] * width + sum(ls))
+            out = memo[key] = {closed: 1}
+            return out
         step = spread if all(k in central for k in live) else place
         out = memo[key] = {}
         for (closed, child), count in step(left, cycles, live).items():
@@ -176,7 +207,9 @@ def _histogram(G, fam, z):
             g += [0] * (k - 1) + [reps[c]]
             L += ls
         m = len(tau)
-        back = {q: r for r, q in enumerate(tau)}
+        back = [0] * m
+        for r, q in enumerate(tau):
+            back[q] = r
         # the fixed points of class j go first when nothing else is left,
         # or when they and the spec-i cycle after them take fewer
         # placements (times labelings of the fixed points) than that cycle
@@ -197,19 +230,22 @@ def _histogram(G, fam, z):
             rest = left[:i] + (left[i] - 1,) + left[i + 1:]
         tally = {}
         for cyc, image in places:
-            at = dict(zip(cyc, range(len(cyc))))
-            w = dict(zip(cyc, image))
+            # at[q], q's index in cyc or -1, reads row[-1] off cyc; w[q]
+            # is w(q) on cyc
+            at, w, seen = [-1] * m, [0] * m, [False] * m
+            for s, q in enumerate(cyc):
+                at[q], w[q] = s, image[s]
             # walk u from each chain into cyc first, so the open words come
             # before the closed ones, then inside cyc
-            words, shapes, lens, seen = [], [], [], set()
-            for y in [back[q] for q in cyc if back[q] not in at] + list(cyc):
+            words, shapes, lens = [], [], []
+            for y in [back[q] for q in cyc if at[back[q]] < 0] + list(cyc):
                 word, ls, total = [], [], 0
-                while y not in seen:
-                    seen.add(y)
-                    if y in at or g[y]:
-                        word.append((at.get(y, -1), cols[g[y]]))
+                while not seen[y]:
+                    seen[y] = True
+                    if at[y] >= 0 or g[y]:
+                        word.append((at[y], cols[g[y]]))
                     total += L[y]
-                    if tau[y] in at:
+                    if at[tau[y]] >= 0:
                         y = w[tau[y]]
                     else:
                         ls.append(total)
@@ -231,13 +267,16 @@ def _histogram(G, fam, z):
                 classes = tuple(classes)
                 per[classes] = per.get(classes, 0) + 1
             # the walks visit every position of the tau-cycles that meet cyc
-            kept = [cycle for cycle, p in zip(cycles, firsts) if p not in seen]
+            kept = [cycle for cycle, p in zip(cycles, firsts) if not seen[p]]
             opened = len(shapes)
+            # with no word left open, every labeling has one child
+            child = None if opened else (rest, tuple(sorted(kept)))
             for classes, count in per.items():
                 closed = sum([1 << 8 * (cl * width + ln)
                               for cl, ln in zip(classes[opened:], lens)])
-                child = rest, tuple(sorted(kept + list(zip(shapes, classes))))
-                tally[closed, child] = tally.get((closed, child), 0) + count
+                key = closed, child or (
+                    rest, tuple(sorted(kept + list(zip(shapes, classes)))))
+                tally[key] = tally.get(key, 0) + count
         return tally
 
     left = tuple(count for _, count in kinds)

@@ -10,6 +10,7 @@ evaluations use the falling-factorial formulas.  No symmetric function
 is ever materialized as a polynomial.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, perm, prod
@@ -165,6 +166,10 @@ def image_eval(delta, point, G, calc=None, order=None):
     Cyclotomic over n! den (n = |point|, den from point_data) unless it is
     0; order, when given, is |C_delta| = class_order(delta, G)[1]."""
     calc = calc or get_calculator(G)
+    n = point.size
+    if n < delta.size:
+        # no term fits a point smaller than delta
+        return Cyclotomic(calc.chars.exponent)
     if order is None:
         order = class_order(delta, G)[1]
     # P_delta expanded into character alphabets, p# per alphabet.
@@ -174,10 +179,8 @@ def image_eval(delta, point, G, calc=None, order=None):
     # conjugates).  dim Lambda carries (dim gamma)^|Lambda(gamma)|, so
     # each term is divided by (dim gamma)^|mu(gamma)|, once per box.
     den, sizes, known = calc.point_data(point)
-    n = point.size
-    # |G|^|delta| / Z_delta = |C_delta| / |delta|!, written over n!; no
-    # term fits a point smaller than delta
-    scale = order * perm(n, n - delta.size) if n >= delta.size else 0
+    # |G|^|delta| / Z_delta = |C_delta| / |delta|!, written over n!
+    scale = order * perm(n, n - delta.size)
     ints, coeffs = [], []
     for key, cc in calc.terms_within(delta, sizes):
         val = known[key]
@@ -214,8 +217,10 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
         universal coefficients and applying the map term-wise matches
         the product of the images at character-indexed points.
 
-    Each image is evaluated once per point per sweep, and each expansion
-    term once per point per calculator.
+    Each image is evaluated once per point per sweep, and is 0 without a
+    term read when its family is larger than the point; a homomorphism
+    sum skips those.  Each expansion term is evaluated once per point
+    per calculator, and each value printed is formatted once per sweep.
     Both sides are exact values of Q(zeta_e), e the exponent of G, so
     each check is ==.
     """
@@ -225,13 +230,15 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
     orders = _Memo(lambda fam: class_order(fam, G)[1])
     # one dict per family, shared by every row that names it
     jsons = _Memo(lambda fam: fam.to_json())
+    # one string per value, keyed by its coordinates over Q(zeta_e)
+    texts = _Memo(lambda key: _fmt(Cyclotomic(e, *key)))
 
     def row(check, inp, lhs, rhs):
         # equal values print equal strings, so a passing row formats once
         ok = lhs == rhs
-        text = _fmt(lhs)
+        text = texts[lhs.num, lhs.den]
         return {"check": check, "input": inp, "lhs": text,
-                "rhs": text if ok else _fmt(rhs), "pass": ok}
+                "rhs": text if ok else texts[rhs.num, rhs.den], "pass": ok}
 
     families = list(families_up_to(size_cap, G.num_classes))
     deltas = families if samples is None else families[:samples]
@@ -266,12 +273,16 @@ def verify_theorem71(G, size_cap=2, samples=None, point_size=7,
         pairs = pairs[:samples]
     for d1, d2 in pairs:
         gams, ks = zip(*k_vector(d1, d2, G).items())
+        sizes = [gam.size for gam in gams]
         top = min(d1.size + d2.size + 1, point_size)
         for pt in points[:min(ends[top], point_cap)]:
             known = images[pt]
+            # gams is in families_up_to order, and the image of a gam
+            # larger than pt is 0: only a prefix of the terms is read
+            cut = bisect_right(sizes, pt.size)
             yield row("homomorphism", {"delta1": jsons[d1], "delta2": jsons[d2],
                                        "point": jsons[pt]},
-                      dot(ks, [known[g] for g in gams], e),
+                      dot(ks[:cut], [known[g] for g in gams[:cut]], e),
                       known[d1] * known[d2])
 
 
@@ -286,7 +297,6 @@ class _Memo(dict):
         return value
 
 
-@lru_cache(maxsize=4096)
 def _fmt(v):
     """A value as a row prints it: the fraction over Q = Q(zeta_1), the
     trivial group's field; else 12 digits of the complex, +0j if real."""

@@ -288,6 +288,21 @@ def test_family_class_id_given_twice(capsys, lam):
     assert capsys.readouterr().err == "error: --lam: class id 1 given twice\n"
 
 
+@pytest.mark.parametrize("key", ["1_0", " 1", "+1", "١"],
+                         ids=["underscore", "space", "sign", "arabic-indic"])
+def test_family_class_id_must_be_decimal(capsys, key):
+    """A class id is ASCII digits only: spellings that int() reads, an
+    underscore, a space, a sign or a non-ASCII digit, are usage errors,
+    not read as the class 10 or 1.  A leading zero stays accepted."""
+    lam = json.dumps({key: [1]})
+    assert main(["--group", "cyclic:12", "kcoeff", "--lam", lam,
+                 "--del", '{"1": [1]}']) == 2
+    assert capsys.readouterr().err == (
+        "error: --lam: class id %r is not a decimal integer\n" % key)
+    assert main(["--group", "cyclic:12", "kcoeff", "--lam", '{"01": [1]}',
+                 "--del", '{"1": [1]}']) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["--group", "cyclic:2", "classes", "--n", "-1"],
     ["--group", "cyclic:2", "enumerate-partial", "--n", "-2"],

@@ -2,14 +2,16 @@
 key packing, limits."""
 import pytest
 
+from oracles import canonical_partial_representative, expand_product_semigroup
 from wreath_centers.errors import Overflow, SizeMismatch
 from wreath_centers.groups import builtin_group
 from wreath_centers.kernels import (
     available_backends, decode_type_key, encode_type_key, type_histogram,
 )
+from wreath_centers.universal import k_vector
 from wreath_centers.wreath import (
     PartitionFamily, WreathElement, canonical_representative, class_order,
-    enumerate_class, families_of_size, type_of, w_multiply,
+    enumerate_class, families_of_size, families_up_to, type_of, w_multiply,
 )
 
 
@@ -46,6 +48,47 @@ def test_pure_kernel_matches_brute_force(z3, s3):
         got = type_histogram(G, fam, z)
         for side in (2, 3):
             assert got == brute_histogram(G, fam, z, side)
+
+
+# the last step leaves the fixed points of one non-identity central class,
+# alone or after a 2-cycle: class 1 of cyclic:3, and the central
+# involution of dihedral:4 (class 1 too)
+TAIL_CASES = [("cyclic:3", {1: (1, 1, 1)}), ("cyclic:3", {1: (2, 1, 1)}),
+              ("dihedral:4", {1: (1, 1, 1)}), ("dihedral:4", {1: (2, 1, 1)})]
+
+
+@pytest.mark.parametrize("spec, entries", TAIL_CASES,
+                         ids=["%s-%s" % (s, e[1]) for s, e in TAIL_CASES])
+def test_one_central_label_tail_matches_brute_force(spec, entries):
+    """The closed-form tail, where each tau-cycle takes one copy of the
+    central label per position, against the listed class, for z of
+    every type of the same size: z's cycles longer than 1 are the
+    tau-cycles that take more than one copy."""
+    G = builtin_group(spec)
+    fam = PartitionFamily(entries)
+    assert len(G.classes[1]) == 1
+    for zfam in families_of_size(fam.size, G.num_classes):
+        z = canonical_representative(zfam, fam.size, G)
+        assert type_histogram(G, fam, z) == brute_histogram(G, fam, z, 3), zfam
+
+
+@pytest.mark.parametrize("lam, delta", [({1: (2,)}, {2: (2,)}),
+                                        ({1: (3,)}, {2: (2,)})])
+def test_k_vector_with_an_absent_tail_matches_oracle(z3, lam, delta):
+    """Neither family has a fixed point, so after the streamed cycles
+    the kernel is left with the absent points alone, which the tail
+    closes; every k of the window against the semigroup expansion, read
+    as k_coeff_oracle reads it."""
+    lam, delta = PartitionFamily(lam), PartitionFamily(delta)
+    kvec = k_vector.__wrapped__(lam, delta, z3)  # uncached: the kernel runs
+    top = lam.size + delta.size
+    product = expand_product_semigroup(lam, delta, top, z3)
+    gammas = [g for g in families_up_to(top, z3.num_classes)
+              if g.size >= max(lam.size, delta.size)]
+    for gamma in gammas:
+        want = product.get(canonical_partial_representative(gamma, z3), 0)
+        assert kvec.get(gamma, 0) == want, gamma
+    assert set(kvec) <= set(gammas)
 
 
 IDENTITY_CASES = [("cyclic:2", 4), ("cyclic:3", 3), ("sym:3", 3),

@@ -309,6 +309,32 @@ def test_verify_theorem71_evaluates_each_image_once(monkeypatch, gname):
     assert rows and all(r["pass"] for r in rows)
     assert {r["check"] for r in rows} == {"chain", "homomorphism"}
     assert calls and set(calls.values()) == {1}
+    # an image of a family larger than the point is 0: only the chain
+    # rows, one per (delta, lam), read it, and no homomorphism sum does
+    points = families_up_to(4, len(G.character_table().rows), kind="char")
+    assert {key for key in calls if key[0].size > key[1].size} == {
+        (delta, lam) for delta, lam in itertools.product(
+            families_up_to(2, G.num_classes), points)
+        if delta.size > lam.size}
+
+
+@pytest.mark.parametrize("gname", ["cyclic:2", "sym:3"])
+def test_image_of_a_larger_family_is_exact_zero(monkeypatch, gname):
+    """image_eval of a family larger than the point is the exact 0 of
+    Q(zeta_e), returned before any term is read."""
+    G = builtin_group(gname)
+    calc = CharacterCalculator(G)
+    e = calc.chars.exponent
+
+    def refuse(*args):
+        raise AssertionError("a term was read")
+
+    monkeypatch.setattr(calc, "terms_within", refuse)
+    points = list(families_up_to(2, len(calc.chars.rows), kind="char"))
+    for delta in families_of_size(3, G.num_classes):
+        for point in points:
+            value = image_eval(delta, point, G, calc)
+            assert (value.e, value.num, value.den) == (e, Cyclotomic(e).num, 1)
 
 
 @pytest.mark.parametrize("gname", ["trivial", "cyclic:2", "sym:3"])
