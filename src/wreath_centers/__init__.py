@@ -16,8 +16,8 @@ from .partial import (
 from .shifted import CharacterCalculator, image_eval, verify_theorem71
 from .universal import PolynomialInN, k_coeff, structure_polynomial
 from .wreath import (
-    PartitionFamily, WreathElement, class_order, enumerate_class,
-    families_of_size, families_up_to, type_of, w_inverse, w_multiply)
+    PartitionFamily, WreathElement, class_order, families_of_size,
+    families_up_to, type_of, w_inverse, w_multiply)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "GPartialPermutation", "PartitionFamily", "PolynomialInN",
     "WreathElement", "__version__", "available_backends",
     "builtin_group", "class_order",
-    "class_size_partial", "enumerate_class", "enumerate_partial_class",
+    "class_size_partial", "enumerate_partial_class",
     "families_of_size", "families_up_to", "group_from_json",
     "group_from_table", "image_eval", "k_coeff", "product_classes",
     "resolve_group", "semigroup_order",

@@ -1,7 +1,8 @@
 """The type-histogram kernel: {packed key: count} over the types of u = w z.
 
-w runs over one class C_fam and z is a fixed element; the key packs the
-type of u one byte per (class, cycle length) slot (encode_type_key).
+w runs over one class C_fam and z is a fixed element; a key packs the
+type of u one byte per slot, byte c * (n + 1) + l counting u's cycles of
+length l and class c (decode_type_key reads it back).
 The kernel places w's cycles one at a time and contracts the known part
 of u away, so it never lists the class.
 
@@ -45,7 +46,6 @@ __all__ = [
     "available_backends",
     "type_histogram",
     "partial_type_histogram",
-    "encode_type_key",
     "decode_type_key",
 ]
 
@@ -60,20 +60,9 @@ def available_backends():
     return (BACKEND,)
 
 
-def encode_type_key(fam, n, ncls):
-    """Pack a class-indexed family of total size n into the byte key
-    the kernel emits: counts[class * (n+1) + length] = multiplicity."""
-    width = n + 1
-    counts = bytearray(ncls * width)
-    for c, parts in fam.entries:
-        for p in parts:
-            counts[c * width + p] += 1
-    return bytes(counts)
-
-
 def decode_type_key(key, n, ncls):
-    """The family that encode_type_key packed into key with width n + 1;
-    its size, at most n, is the sum of its parts."""
+    """The family packed in a kernel key for n points and ncls classes:
+    byte c * (n + 1) + l of key is its number of parts l at class c."""
     width = n + 1
     entries = []
     for c in range(ncls):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import PadTooSmall, SizeMismatch
 from .groups import FiniteGroup
@@ -26,7 +25,7 @@ __all__ = [
     "PartitionFamily", "WreathElement", "families_of_size", "family_count",
     "families_up_to", "family_order",
     "w_multiply", "w_inverse", "type_of", "class_order",
-    "enumerate_class", "canonical_representative", "iter_class",
+    "canonical_representative", "iter_class",
     "cycle_kinds", "structures", "label_tables",
 ]
 
@@ -398,11 +397,11 @@ def iter_class(fam: PartitionFamily, supports, G: FiniteGroup):
     """Yield (support, omega, labels) for every element of type fam on
     each support in turn; omega and labels are dicts over the support.
 
-    The same generator drives full wreath classes (one support,
-    range(n)) and partial-permutation classes (every support of size
-    |fam|): per support, every cycle layout from structures, and within
-    it every choice of one row per cycle from label_tables. omega is
-    shared by all labelings of one layout.
+    It streams partial-permutation classes (every support of size
+    |fam|; one support of size n is a whole class of G wr S_n): per
+    support, every cycle layout from structures, and within it every
+    choice of one row per cycle from label_tables. omega is shared by
+    all labelings of one layout.
     """
     kinds = cycle_kinds(fam)
     tables = label_tables(kinds, G)
@@ -415,16 +414,6 @@ def iter_class(fam: PartitionFamily, supports, G: FiniteGroup):
             omega = {support[i]: support[perm[i]] for i in walk}
             for rows in itertools.product(*map(tables.__getitem__, placed)):
                 yield support, omega, dict(zip(order, itertools.chain.from_iterable(rows)))
-
-
-def enumerate_class(fam: PartitionFamily, n: int, G: FiniteGroup) -> Iterator[WreathElement]:
-    """Stream the conjugacy class C_fam inside the size-n wreath product."""
-    if fam.size != n:
-        raise SizeMismatch(f"family size {fam.size} != n = {n}; pad first")
-    rng = range(n)
-    for _, omega, labels in iter_class(fam, (rng,), G):
-        yield WreathElement(map(labels.__getitem__, rng),
-                            map(omega.__getitem__, rng))
 
 
 def canonical_representative(fam: PartitionFamily, n: int, G: FiniteGroup) -> WreathElement:

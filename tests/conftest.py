@@ -4,8 +4,10 @@ from itertools import permutations
 
 import pytest
 
+from oracles import buckets
 from wreath_centers.groups import builtin_group, group_from_table
-from wreath_centers.wreath import enumerate_class, type_of, w_multiply
+from wreath_centers.kernels import decode_type_key
+from wreath_centers.wreath import type_of, w_multiply
 
 
 @pytest.fixture(scope="session")
@@ -36,16 +38,35 @@ def s4():
 def brute_expand(lam, delta, n, G):
     """Full double enumeration of C_lam * C_delta, as {type: count}.
 
-    Only uses element-level multiplication and typing, no histogram
-    kernels, so it is an independent oracle for the center layer.
+    The classes are buckets of the listed group, and only element-level
+    multiplication and typing run, so it shares no code with the class
+    stream or the kernel: an independent oracle for the center layer.
     """
-    ys = list(enumerate_class(delta, n, G))
+    by_type = buckets(G, n)
     out = {}
-    for x in enumerate_class(lam, n, G):
-        for y in ys:
+    for x in by_type[lam]:
+        for y in by_type[delta]:
             t = type_of(w_multiply(x, y, G), G)
             out[t] = out.get(t, 0) + 1
     return out
+
+
+def brute_histogram(G, fam, z, side):
+    """Types of z w (side 2) or w z (side 3) over w in C_fam, as
+    {type: count}, with C_fam a bucket of the listed group."""
+    hist = {}
+    for w in buckets(G, fam.size)[fam]:
+        u = w_multiply(z, w, G) if side == 2 else w_multiply(w, z, G)
+        t = type_of(u, G)
+        hist[t] = hist.get(t, 0) + 1
+    return hist
+
+
+def decoded(hist, n, G):
+    """A kernel histogram over n points keyed by type, as the brute
+    force keys its own."""
+    return {decode_type_key(key, n, G.num_classes): count
+            for key, count in hist.items()}
 
 
 def q8_group():

@@ -37,8 +37,11 @@ def elements(G, n):
             yield WreathElement(labels, p)
 
 
+@lru_cache(maxsize=16)
 def buckets(G, n):
-    """{type: set of elements} over the whole of G wr S_n."""
+    """{type: set of elements} over the whole of G wr S_n, kept for every
+    (G, n) a test session lists, as several checks list the same group;
+    callers must not change it."""
     out = {}
     for x in elements(G, n):
         out.setdefault(type_of(x, G), set()).add(x)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import class_map, q8_group
-from oracles import elements, p_sharp_eval, s_sharp_eval, x_value
+from oracles import elements, p_sharp_eval, s_sharp_eval, skew_count, x_value
 from wreath_centers.groups import Cyclotomic, FiniteGroup, builtin_group
 from wreath_centers.partitions import mn_character, partitions_of
 from wreath_centers import shifted
@@ -70,6 +70,55 @@ def test_x_value_orthogonality_nonabelian_n3(s3):
             for lam in families_of_size(3, 3, kind="char")]
     assert all(d.denominator == 1 for d in degs)
     assert sum(d * d for d in degs) == order
+
+
+@pytest.mark.parametrize("group", [
+    lambda: builtin_group("sym:3"), lambda: builtin_group("dihedral:4"),
+    q8_group, lambda: builtin_group("cyclic:3")],
+    ids=["sym:3", "dihedral:4", "Q8", "cyclic:3"])
+def test_x_table_across_padding_is_the_branching_rule(group):
+    """X^Lam at delta padded by r fixed points is sum_M X^M(delta)
+    dim(Lam/M) over the M inside Lam alphabet by alphabet with
+    |M| = |delta|, exactly: restricted to G wr S_|delta| x G wr S_r, Lam
+    holds M times every N of size r with multiplicity the
+    Littlewood-Richardson coefficients, and summing dim N over them gives
+    dim(Lam/M) = r! prod_gamma f^{Lam(gamma)/M(gamma)} (dim gamma)^r_gamma
+    / r_gamma!, with r_gamma = |Lam(gamma)| - |M(gamma)| and f the skew
+    tableau count of skew_count.  Every delta with |delta| <= 2 against
+    every Lam with |delta| <= |Lam| <= 4: under 1 s for the four groups
+    (0.4 s measured)."""
+    G = group()
+    calc = CharacterCalculator(G)
+    degrees = calc.chars.degrees
+
+    def skew_dim(lam, mu):
+        num, den = math.factorial(lam.size - mu.size), 1
+        for g, d in enumerate(degrees):
+            lparts, mparts = lam.get(g), mu.get(g)
+            f = skew_count(lparts, mparts)  # 0 unless mu(g) is inside lam(g)
+            if not f:
+                return 0
+            r = sum(lparts) - sum(mparts)
+            num *= f * d ** r
+            den *= math.factorial(r)
+        assert num % den == 0
+        return num // den
+
+    chars = [list(families_of_size(m, len(degrees), kind="char"))
+             for m in range(5)]
+    for k in range(3):
+        ms = chars[k]
+        for m in range(k, 5):
+            dims = [[skew_dim(lam, mu) for mu in ms] for lam in chars[m]]
+            for delta in families_of_size(k, G.num_classes):
+                below = calc.x_table([delta], ms)[0]
+                top = calc.x_table([delta.pad(m)], chars[m])[0]
+                for lam, value, row in zip(chars[m], top, dims):
+                    want = 0
+                    for x, dim in zip(below, row):
+                        if dim:
+                            want = x * dim + want
+                    assert value == want, (delta, lam)
 
 
 def test_degrees_z2_s2(z2):

@@ -1,4 +1,5 @@
-"""The class stream against an oracle that shares none of its code.
+"""The class stream and the kernel against an oracle that shares none
+of their code.
 
 The oracle, oracles.buckets, lists all of G wr S_n with itertools.product
 over labels and itertools.permutations over positions, then buckets the
@@ -11,49 +12,44 @@ import random
 
 import pytest
 
-from oracles import buckets
+from conftest import brute_expand, brute_histogram, decoded
+from oracles import buckets, psi
+from wreath_centers import wreath
 from wreath_centers.groups import builtin_group
-from wreath_centers.kernels import encode_type_key, type_histogram
+from wreath_centers.kernels import type_histogram
 from wreath_centers.partial import enumerate_partial_class
 from wreath_centers.wreath import (
-    PartitionFamily, WreathElement, canonical_representative,
-    enumerate_class, type_of, w_inverse, w_multiply,
+    PartitionFamily, WreathElement, canonical_representative, class_order,
+    w_inverse, w_multiply,
 )
 
 ORACLE_CASES = [("trivial", 4), ("cyclic:2", 3), ("cyclic:3", 3),
                 ("sym:3", 3), ("dihedral:4", 2)]
 
 
-@pytest.fixture(scope="module", params=ORACLE_CASES,
-                ids=["%s-%d" % case for case in ORACLE_CASES])
-def listed(request):
-    spec, n = request.param
+@pytest.mark.parametrize("spec, n", ORACLE_CASES,
+                         ids=["%s-%d" % case for case in ORACLE_CASES])
+def test_enumerate_class_yields_each_bucket(spec, n):
+    # one support of n points: the stream of one whole class of G wr S_n
     G = builtin_group(spec)
-    return G, n, buckets(G, n)
-
-
-def test_enumerate_class_yields_each_bucket(listed):
-    G, n, by_type = listed
-    for fam, members in by_type.items():
-        streamed = list(enumerate_class(fam, n, G))
+    for fam, members in buckets(G, n).items():
+        streamed = [psi(x, n) for x in enumerate_partial_class(fam, n, G)]
         assert len(streamed) == len(members), fam
         assert set(streamed) == members, fam
 
 
-def test_python_kernel_matches_listed_group(listed):
-    G, n, by_type = listed
-    for zfam in by_type:
+@pytest.mark.parametrize("spec, n", ORACLE_CASES,
+                         ids=["%s-%d" % case for case in ORACLE_CASES])
+def test_python_kernel_matches_listed_group(spec, n):
+    G = builtin_group(spec)
+    types = list(buckets(G, n))
+    for zfam in types:
         z = canonical_representative(zfam, n, G)
-        for fam, members in by_type.items():
+        for fam in types:
             # one histogram for both orders: z w and w z are conjugate
-            got = type_histogram(G, fam, z)
+            got = decoded(type_histogram(G, fam, z), n, G)
             for side in (2, 3):
-                want = {}
-                for w in members:
-                    u = w_multiply(z, w, G) if side == 2 else w_multiply(w, z, G)
-                    key = encode_type_key(type_of(u, G), n, G.num_classes)
-                    want[key] = want.get(key, 0) + 1
-                assert got == want, (zfam, fam, side)
+                assert got == brute_histogram(G, fam, z, side), (zfam, fam, side)
 
 
 @pytest.mark.parametrize("spec, n, draws, fams", [
@@ -64,8 +60,7 @@ def test_kernels_match_listed_group_at_conjugated_z(spec, n, draws, fams):
     # fams: how many streamed families each z meets (None: every one)
     G = builtin_group(spec)
     rng = random.Random(n * G.order)
-    by_type = buckets(G, n)
-    types = sorted(by_type, key=PartitionFamily.sort_key)
+    types = sorted(buckets(G, n), key=PartitionFamily.sort_key)
     for zfam in rng.sample(types, draws):
         perm = list(range(n))
         rng.shuffle(perm)
@@ -73,12 +68,27 @@ def test_kernels_match_listed_group_at_conjugated_z(spec, n, draws, fams):
         z = w_multiply(w_multiply(x, canonical_representative(zfam, n, G), G),
                        w_inverse(x, G), G)
         for fam in rng.sample(types, fams or len(types)):
-            want = {}
-            for w in by_type[fam]:
-                key = encode_type_key(type_of(w_multiply(w, z, G), G), n,
-                                      G.num_classes)
-                want[key] = want.get(key, 0) + 1
-            assert type_histogram(G, fam, z) == want, (z, fam)
+            got = decoded(type_histogram(G, fam, z), n, G)
+            assert got == brute_histogram(G, fam, z, 3), (z, fam)
+
+
+def test_brute_force_runs_without_the_class_stream(monkeypatch):
+    """brute_expand and brute_histogram, on sym:3, list their classes
+    with the class stream, its cycle layouts and its label rows refused,
+    so a fault there cannot pass on both sides of a check."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class stream ran")
+
+    for name in ("iter_class", "structures", "label_tables"):
+        monkeypatch.setattr(wreath, name, refuse)
+    buckets.cache_clear()  # list the group under the patch
+    G = builtin_group("sym:3")
+    size = lambda fam: class_order(fam, G)[1]
+    lam, delta = PartitionFamily({1: (2,)}), PartitionFamily({2: (1, 1)})
+    assert sum(brute_expand(lam, delta, 2, G).values()) == size(lam) * size(delta)
+    fam, zfam = PartitionFamily({2: (2,), 0: (1,)}), PartitionFamily({1: (3,)})
+    z = canonical_representative(zfam, 3, G)
+    assert sum(brute_histogram(G, fam, z, 3).values()) == size(fam)
 
 
 def _digest(lines):
@@ -106,10 +116,13 @@ def _digest(lines):
      "9acd7820d4bf605ff997d2f5fe82ed70e669929e157acabac96fdc831920a19a"),
 ])
 def test_enumerate_class_order_is_pinned(spec, fam, digest):
+    # one support of |fam| points: the stream of one whole class, each
+    # element written as the labels and 0-based one-line permutation of
+    # the member of G wr S_|fam| it stands for
     G = builtin_group(spec)
     fam = PartitionFamily(fam)
-    lines = ("%r %r" % (w.labels, w.perm)
-             for w in enumerate_class(fam, fam.size, G))
+    lines = ("%r %r" % (x.labels, x.perm) for x in
+             (psi(y, fam.size) for y in enumerate_partial_class(fam, fam.size, G)))
     assert _digest(lines) == digest
 
 
